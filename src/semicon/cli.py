@@ -185,9 +185,6 @@ def _check_finite(encoder, report: RunReport) -> None:
     for name, value in encoder.params.items():
         if not np.all(np.isfinite(value)):
             raise NumericError(f"parameter {name} diverged during training")
-    if report.loss_trace is not None:
-        if not all(map(math.isfinite, report.loss_trace)):
-            raise NumericError("training loss diverged")
 
 
 def _sweep_points(cfg: dict) -> list[tuple[str | None, object]]:

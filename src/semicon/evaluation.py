@@ -69,11 +69,6 @@ def fit_ncm(enc: Encoder, memory: MemoryBuffer) -> ClassMeans:
     return class_means(encode(enc, feats), labels)
 
 
-def ncm_classify(means: ClassMeans, enc: Encoder, x: np.ndarray) -> int:
-    """Predicted class id for a single sample."""
-    return int(nearest_mean(means, encode(enc, np.asarray(x)[None]))[0])
-
-
 def predict(means: ClassMeans, enc: Encoder, xs: np.ndarray) -> np.ndarray:
     return nearest_mean(means, encode(enc, xs))
 
@@ -98,9 +93,6 @@ class AccuracyMatrix:
             raise ValueError("no evaluation rows recorded")
         return float(np.mean(self.rows[-1]))
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.rows)
-
 
 def evaluate(
     enc: Encoder,
@@ -120,45 +112,6 @@ def evaluate(
         row.append(float(np.mean(preds == ts.labels)))
         missing |= set(np.setdiff1d(ts.labels, means.class_ids).tolist())
     return row, sorted(missing)
-
-
-def fit_linear_probe(
-    enc: Encoder,
-    memory: MemoryBuffer,
-    *,
-    epochs: int = 50,
-    learning_rate: float = 0.5,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Alternative classifier: logistic regression on memory latents.
-
-    Full-batch gradient descent on the cross entropy; returns (weight,
-    bias) usable with head_accuracy. Off the default path; NCM remains
-    the reference classifier.
-    """
-    from . import autodiff as ad
-    from . import losses
-
-    if not memory.items:
-        raise DataError("cannot fit a probe on an empty memory")
-    feats = np.stack([it.sample.features for it in memory.items])
-    labels = np.array([it.label for it in memory.items], dtype=np.int64)
-    latents = normalize_rows(encode(enc, feats))
-    ids = np.unique(labels)
-    n_classes = int(ids.max()) + 1
-    rng = np.random.default_rng(seed)
-    bound = 1.0 / np.sqrt(latents.shape[1])
-    weight = rng.uniform(-bound, bound, size=(latents.shape[1], n_classes))
-    bias = np.zeros((1, n_classes))
-    sgd = ad.SgdConfig(learning_rate=learning_rate)
-    for _ in range(epochs):
-        tape = ad.Tape()
-        w, b2 = tape.param(weight), tape.param(bias)
-        logits = ad.add(ad.matmul(tape.const(latents), w), b2)
-        loss = losses.cross_entropy(logits, labels)
-        grads = ad.grads_for(ad.backward(loss), [w, b2])
-        ad.sgd_step([weight, bias], grads, sgd)
-    return weight, bias[0]
 
 
 def head_accuracy(

@@ -95,13 +95,6 @@ def retrieve(
     return [buf.items[i] for i in chosen]
 
 
-def label_fraction(buf: MemoryBuffer, stream_length: int) -> float:
-    """Fraction of the stream whose label was requested, p = calls / N."""
-    if stream_length <= 0:
-        raise ValueError(f"stream length must be > 0, got {stream_length}")
-    return buf.oracle_calls / stream_length
-
-
 def expected_oracle_calls(capacity: int, stream_length: int) -> float:
     """E[oracle_calls] after a stream of the given length: M(1 + H_N - H_M)."""
     m, n = capacity, stream_length
@@ -130,11 +123,3 @@ def simulate_oracle_calls(
         hits = rng.random((trials, steps.size)) < (m / steps)
         counts += hits.sum(axis=1)
     return counts
-
-
-def snapshot_records(buf: MemoryBuffer) -> list[tuple[int, int, np.ndarray]]:
-    """Memory contents as (source id, label, features) checkpoint records."""
-    return [
-        (item.sample.source_id, item.label, item.sample.features)
-        for item in buf.items
-    ]

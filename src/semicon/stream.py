@@ -23,11 +23,10 @@ CIFAR_SHAPE = (3, 32, 32)
 
 @dataclass(frozen=True, eq=False)
 class Sample:
-    """One stream element. The label field stays None on the stream side."""
+    """One stream element; its label is reachable only through the oracle."""
 
     features: np.ndarray
     source_id: int
-    label: int | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,13 +120,12 @@ def split_dataset(
     *,
     batch_size: int = 10,
     test_data: LabeledDataset | None = None,
-    shuffle_classes: bool = False,
 ) -> TaskStream:
     """Partition classes into n_tasks disjoint groups of equal size.
 
-    Class groups are ascending by id unless shuffle_classes is set;
-    within-task sample order is shuffled by the seed. Train labels are
-    reachable only through the stream's oracle.
+    Class groups are ascending by id; within-task sample order is
+    shuffled by the seed. Train labels are reachable only through the
+    stream's oracle.
     """
     if n_tasks < 1:
         raise ConfigError(f"task count must be >= 1, got {n_tasks}")
@@ -136,12 +134,8 @@ def split_dataset(
         raise ConfigError(
             f"{len(classes)} classes do not divide into {n_tasks} tasks"
         )
-    seed_seq = np.random.SeedSequence(seed)
-    order_rng, shuffle_rng = (
-        np.random.default_rng(s) for s in seed_seq.spawn(2)
-    )
-    if shuffle_classes:
-        classes = order_rng.permutation(classes)
+    # the second of two children, so every seed keeps its sample order
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
     per_task = len(classes) // n_tasks
 
     tasks = []
@@ -260,15 +254,12 @@ def make_multiview(
 # data sources
 # ---------------------------------------------------------------------------
 
-def load_cifar_binary(
-    path, *, label_bytes: int = 1, standardize: bool = False
-) -> LabeledDataset:
+def load_cifar_binary(path, *, label_bytes: int = 1) -> LabeledDataset:
     """Read CIFAR-style binary records: label byte(s), then 3072 pixels.
 
     CIFAR-10 files carry 1 label byte per record; CIFAR-100 carries 2
     (coarse then fine; the fine label is kept). Pixels are scaled to
-    [0, 1]; `standardize` further applies per-channel standardization
-    with statistics from this file.
+    [0, 1].
     """
     if label_bytes not in (1, 2):
         raise ConfigError(f"label_bytes must be 1 or 2, got {label_bytes}")
@@ -285,12 +276,7 @@ def load_cifar_binary(
     rows = raw.reshape(n, record)
     labels = rows[:, label_bytes - 1].astype(np.int64)
     pixels = rows[:, label_bytes:].astype(np.float64) / 255.0
-    images = pixels.reshape(n, *CIFAR_SHAPE)
-    if standardize:
-        mean = images.mean(axis=(0, 2, 3), keepdims=True)
-        std = images.std(axis=(0, 2, 3), keepdims=True)
-        images = (images - mean) / np.where(std == 0, 1.0, std)
-    return LabeledDataset(images, labels)
+    return LabeledDataset(pixels.reshape(n, *CIFAR_SHAPE), labels)
 
 
 def make_synthetic(

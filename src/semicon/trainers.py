@@ -1,11 +1,13 @@
 """Training strategies over one shared stream/memory/eval harness.
 
-Seven methods act on the same single-pass stream. The contrastive group
+Seven methods act on the same single-pass stream, through two loops.
+The replay loop serves the five memory methods: the contrastive group
 (ours, scr, scr-mo) trains encoder + projection head on a multiview
-batch; the cross-entropy group (er, er-mo, finetune, offline) trains
-encoder + linear head on raw features. Per-iteration order follows the
-online protocol strictly: retrieve memory, SGD step, then offer the
-stream batch to the reservoir, so a batch can never replay itself.
+batch, er and er-mo train encoder + linear head on raw features.
+Per-iteration order follows the online protocol strictly: retrieve
+memory, SGD step, then offer the stream batch to the reservoir, so a
+batch can never replay itself. The head-only loop serves finetune and
+offline, which train encoder + linear head with no memory.
 
 Label accounting: the -mo methods and ours obtain labels only through
 reservoir insertion (budgeted, p = oracle calls / N). scr, er, finetune
@@ -22,14 +24,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from math import ceil
+from math import ceil, isfinite
 from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
 from . import losses
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .evaluation import AccuracyMatrix, evaluate, head_accuracy
 from .memory import MemoryBuffer, reservoir_update_batch, retrieve
 from .models import (
@@ -149,6 +151,7 @@ class _Harness:
                 f"config stream_batch {cfg.stream_batch} != "
                 f"stream batch size {stream.batch_size}"
             )
+        self.started = time.perf_counter()
         self.cfg = cfg
         self.stream = stream
         self.sgd = ad.SgdConfig(learning_rate=cfg.learning_rate)
@@ -158,14 +161,26 @@ class _Harness:
         self.missing: list[int] = []
 
     def step(self, params: dict[str, np.ndarray],
-             forward: Callable[[dict[str, ad.Var], ad.Tape], ad.Var]) -> float:
-        """One SGD step on `params` through a traced forward computation."""
+             forward: Callable[[dict[str, ad.Var], ad.Tape], ad.Var],
+             task: int | None) -> float:
+        """One SGD step on `params` through a traced forward computation.
+
+        A non-finite loss stops the run before the update is applied;
+        `task` is None for the offline passes over every task at once.
+        """
         tape = ad.Tape()
         bound = bind(tape, params)
         loss = forward(bound, tape)
+        value = float(loss.data)
+        if not isfinite(value):
+            where = "all tasks" if task is None else f"task {task}"
+            raise NumericError(
+                f"{self.cfg.method}: loss {value} at step {self.steps + 1} "
+                f"({where}); the run diverged"
+            )
         grads = ad.grads_for(ad.backward(loss), [bound[n] for n in sorted(params)])
         ad.sgd_step([params[n] for n in sorted(params)], grads, self.sgd)
-        return self._count(float(loss.data))
+        return self._count(value)
 
     def _count(self, loss: float) -> float:
         self.steps += 1
@@ -177,30 +192,20 @@ class _Harness:
         """Counted step with nothing to train on (empty batch)."""
         return self._count(0.0)
 
-    def report(self, *, oracle_calls: int, label_fraction: float,
-               head_row: list[float] | None, started: float) -> RunReport:
+    def report(self, *, oracle_calls: int,
+               head_row: list[float] | None) -> RunReport:
         return RunReport(
             config=asdict(self.cfg),
             accuracy=self.matrix.rows,
             final_avg=self.matrix.final_avg,
             oracle_calls=oracle_calls,
-            label_fraction=label_fraction,
+            label_fraction=oracle_calls / self.stream.n_samples,
             steps=self.steps,
             missing_classes=self.missing,
             head_accuracy=head_row,
             loss_trace=self.trace if self.cfg.loss_trace else None,
-            wall_clock=time.perf_counter() - started,
+            wall_clock=time.perf_counter() - self.started,
         )
-
-
-def _require_memory(cfg: TrainConfig, memory: MemoryBuffer) -> MemoryBuffer:
-    if memory is None:
-        raise ConfigError(f"{cfg.method} needs a memory buffer")
-    if memory.capacity != cfg.mem_size:
-        raise ConfigError(
-            f"memory capacity {memory.capacity} != config mem_size {cfg.mem_size}"
-        )
-    return memory
 
 
 def _head_init(rngs: dict, latent_dim: int, n_classes: int) -> dict[str, np.ndarray]:
@@ -209,6 +214,10 @@ def _head_init(rngs: dict, latent_dim: int, n_classes: int) -> dict[str, np.ndar
         "head/w": rngs["init"].uniform(-bound, bound, (latent_dim, n_classes)),
         "head/b": np.zeros((1, n_classes)),
     }
+
+
+def _n_classes(stream: TaskStream) -> int:
+    return int(stream.oracle.labels.max()) + 1
 
 
 def _contrastive_forward(enc: Encoder, proj: ProjectionHead, views: np.ndarray,
@@ -242,227 +251,118 @@ def _stream_labels(stream: TaskStream, batch: list[Sample]) -> list[int]:
     return [stream.oracle.label(s.source_id) for s in batch]
 
 
-# ---------------------------------------------------------------------------
-# contrastive trainers
-# ---------------------------------------------------------------------------
+def _train_replay(cfg: TrainConfig, stream: TaskStream,
+                  model: MlpSpec | ConvSpec):
+    """ours, scr, scr-mo, er and er-mo: one online pass with replay.
 
-def _train_contrastive(cfg: TrainConfig, stream: TaskStream,
-                       memory: MemoryBuffer, model: MlpSpec | ConvSpec):
-    started = time.perf_counter()
-    memory = _require_memory(cfg, memory)
+    Each step trains on a memory batch, joined by the stream batch for
+    ours (unlabeled), scr and er (labeled by direct lookup); the stream
+    batch is offered to the reservoir only after the step. The
+    contrastive methods train a projection head on two views per
+    sample, the others a linear head by cross entropy. Every method is
+    scored by NCM over memory after each task.
+    """
+    harness = _Harness(cfg, stream)
+    memory = MemoryBuffer(cfg.mem_size)
     rngs = _spawn_rngs(cfg.seed)
     enc, proj = init_params(_init_seed(rngs), model)
-    aug = cfg.augmentation or _default_augmentation(model)
-    loss_cfg = losses.LossConfig(
-        tau=cfg.tau,
-        alpha=cfg.alpha if cfg.alpha is not None else 1.0,
-        galpha_on=cfg.galpha_on or "unlabeled",
-    )
-    params = {**enc.params, **proj.params}
-    harness = _Harness(cfg, stream)
-    supervised_only = cfg.method in ("scr", "scr-mo")
-
-    for _task, batches in stream.iter_tasks():
-        for b_s in batches:
-            b_m = retrieve(memory, cfg.mem_batch, rngs["retrieval"])
-            sources: list[tuple[Sample, int | None]] = [
-                (it.sample, it.label) for it in b_m
-            ]
-            if cfg.method == "ours":
-                sources += [(s, None) for s in b_s]
-            elif cfg.method == "scr":
-                sources += list(zip(b_s, _stream_labels(stream, b_s)))
-            # scr-mo trains on memory only
-            if sources:
-                views, idx = make_multiview(sources, aug, rngs["augment"])
-                harness.step(
-                    params,
-                    _contrastive_forward(enc, proj, views, idx, loss_cfg,
-                                         supervised_only),
-                )
-            else:
-                harness.skip_step()
-            reservoir_update_batch(memory, b_s, stream.oracle, rngs["reservoir"])
-        row, missing = evaluate(enc, memory, stream.test_sets)
-        harness.matrix.add_row(row)
-        harness.missing = missing
-
-    n = stream.n_samples
-    supervised = cfg.method in SUPERVISED_METHODS
-    report = harness.report(
-        oracle_calls=n if supervised else memory.oracle_calls,
-        label_fraction=1.0 if supervised else memory.oracle_calls / n,
-        head_row=None,
-        started=started,
-    )
-    return enc, memory, report
-
-
-def train_ours(cfg, stream, memory, model):
-    if cfg.method != "ours":
-        raise ConfigError(f"train_ours got method {cfg.method!r}")
-    return _train_contrastive(cfg, stream, memory, model)
-
-
-def train_scr(cfg, stream, memory, model):
-    if cfg.method != "scr":
-        raise ConfigError(f"train_scr got method {cfg.method!r}")
-    return _train_contrastive(cfg, stream, memory, model)
-
-
-def train_scr_mo(cfg, stream, memory, model):
-    if cfg.method != "scr-mo":
-        raise ConfigError(f"train_scr_mo got method {cfg.method!r}")
-    return _train_contrastive(cfg, stream, memory, model)
-
-
-# ---------------------------------------------------------------------------
-# cross-entropy trainers
-# ---------------------------------------------------------------------------
-
-def _n_classes(stream: TaskStream) -> int:
-    return int(stream.oracle.labels.max()) + 1
-
-
-def _train_replay_ce(cfg: TrainConfig, stream: TaskStream,
-                     memory: MemoryBuffer, model: MlpSpec | ConvSpec):
-    started = time.perf_counter()
-    memory = _require_memory(cfg, memory)
-    rngs = _spawn_rngs(cfg.seed)
-    enc, _ = init_params(_init_seed(rngs), model)
-    head = _head_init(rngs, enc.out_dim, _n_classes(stream))
-    params = {**enc.params, **head}
-    harness = _Harness(cfg, stream)
-    memory_only = cfg.method == "er-mo"
-
-    for _task, batches in stream.iter_tasks():
-        for b_s in batches:
-            b_m = retrieve(memory, cfg.mem_batch, rngs["retrieval"])
-            feats = [it.sample.features for it in b_m]
-            labels = [it.label for it in b_m]
-            if not memory_only:
-                feats += [s.features for s in b_s]
-                labels += _stream_labels(stream, b_s)
-            if feats:
-                harness.step(
-                    params,
-                    _ce_forward(enc, np.stack(feats), np.array(labels)),
-                )
-            else:
-                harness.skip_step()
-            reservoir_update_batch(memory, b_s, stream.oracle, rngs["reservoir"])
-        row, missing = evaluate(enc, memory, stream.test_sets)
-        harness.matrix.add_row(row)
-        harness.missing = missing
-
-    head_row = head_accuracy(enc, params["head/w"], params["head/b"][0],
-                             stream.test_sets)
-    n = stream.n_samples
-    supervised = cfg.method in SUPERVISED_METHODS
-    report = harness.report(
-        oracle_calls=n if supervised else memory.oracle_calls,
-        label_fraction=1.0 if supervised else memory.oracle_calls / n,
-        head_row=head_row,
-        started=started,
-    )
-    return enc, memory, report
-
-
-def train_er(cfg, stream, memory, model):
-    if cfg.method != "er":
-        raise ConfigError(f"train_er got method {cfg.method!r}")
-    return _train_replay_ce(cfg, stream, memory, model)
-
-
-def train_er_mo(cfg, stream, memory, model):
-    if cfg.method != "er-mo":
-        raise ConfigError(f"train_er_mo got method {cfg.method!r}")
-    return _train_replay_ce(cfg, stream, memory, model)
-
-
-def train_finetune(cfg, stream, memory, model):
-    """Supervised cross entropy on the raw stream; no replay, no memory."""
-    if cfg.method != "finetune":
-        raise ConfigError(f"train_finetune got method {cfg.method!r}")
-    if memory is not None:
-        raise ConfigError("finetune does not use a memory")
-    started = time.perf_counter()
-    rngs = _spawn_rngs(cfg.seed)
-    enc, _ = init_params(_init_seed(rngs), model)
-    head = _head_init(rngs, enc.out_dim, _n_classes(stream))
-    params = {**enc.params, **head}
-    harness = _Harness(cfg, stream)
-
-    for _task, batches in stream.iter_tasks():
-        for b_s in batches:
-            feats = np.stack([s.features for s in b_s])
-            labels = np.array(_stream_labels(stream, b_s))
-            harness.step(params, _ce_forward(enc, feats, labels))
-        harness.matrix.add_row(
-            head_accuracy(enc, params["head/w"], params["head/b"][0],
-                          stream.test_sets)
+    contrastive = cfg.method in CONTRASTIVE_METHODS
+    if contrastive:
+        params = {**enc.params, **proj.params}
+        aug = cfg.augmentation or _default_augmentation(model)
+        loss_cfg = losses.LossConfig(
+            tau=cfg.tau,
+            alpha=cfg.alpha if cfg.alpha is not None else 1.0,
+            galpha_on=cfg.galpha_on or "unlabeled",
         )
+    else:
+        params = {**enc.params,
+                  **_head_init(rngs, enc.out_dim, _n_classes(stream))}
 
+    for task, batches in stream.iter_tasks():
+        for b_s in batches:
+            b_m = retrieve(memory, cfg.mem_batch, rngs["retrieval"])
+            samples = [it.sample for it in b_m]
+            labels: list[int | None] = [it.label for it in b_m]
+            if cfg.method == "ours":
+                samples += b_s
+                labels += [None] * len(b_s)
+            elif cfg.method in SUPERVISED_METHODS:
+                samples += b_s
+                labels += _stream_labels(stream, b_s)
+            if not samples:
+                harness.skip_step()
+            elif contrastive:
+                views, idx = make_multiview(list(zip(samples, labels)), aug,
+                                            rngs["augment"])
+                harness.step(params, _contrastive_forward(
+                    enc, proj, views, idx, loss_cfg,
+                    cfg.method != "ours"), task.index)
+            else:
+                feats = np.stack([s.features for s in samples])
+                harness.step(params, _ce_forward(enc, feats, np.array(labels)),
+                             task.index)
+            reservoir_update_batch(memory, b_s, stream.oracle, rngs["reservoir"])
+        row, harness.missing = evaluate(enc, memory, stream.test_sets)
+        harness.matrix.add_row(row)
+
+    head_row = None if contrastive else head_accuracy(
+        enc, params["head/w"], params["head/b"][0], stream.test_sets)
+    supervised = cfg.method in SUPERVISED_METHODS
     report = harness.report(
-        oracle_calls=stream.n_samples,
-        label_fraction=1.0,
-        head_row=harness.matrix.rows[-1],
-        started=started,
+        oracle_calls=stream.n_samples if supervised else memory.oracle_calls,
+        head_row=head_row,
     )
-    return enc, None, report
+    return enc, memory, report
 
 
-def train_offline(cfg, stream, memory, model):
-    """Upper reference: multi-epoch shuffled passes over the whole dataset."""
-    if cfg.method != "offline":
-        raise ConfigError(f"train_offline got method {cfg.method!r}")
-    if memory is not None:
-        raise ConfigError("offline does not use a memory")
-    started = time.perf_counter()
+def _train_head_only(cfg: TrainConfig, stream: TaskStream,
+                     model: MlpSpec | ConvSpec):
+    """finetune and offline: cross entropy on stream labels, no memory.
+
+    finetune makes one pass over the stream and is scored by its head
+    after each task; offline, the upper reference, makes cfg.epochs
+    shuffled passes over the whole training set and is scored once.
+    """
+    harness = _Harness(cfg, stream)
     rngs = _spawn_rngs(cfg.seed)
     enc, _ = init_params(_init_seed(rngs), model)
-    head = _head_init(rngs, enc.out_dim, _n_classes(stream))
-    params = {**enc.params, **head}
-    harness = _Harness(cfg, stream)
+    params = {**enc.params, **_head_init(rngs, enc.out_dim, _n_classes(stream))}
 
-    feats = stream.data.features
-    labels = stream.oracle.labels
-    n = len(labels)
-    for _ in range(cfg.epochs):
-        order = rngs["shuffle"].permutation(n)
-        for start in range(0, n, cfg.stream_batch):
-            take = order[start:start + cfg.stream_batch]
-            harness.step(params, _ce_forward(enc, feats[take], labels[take]))
-    harness.matrix.add_row(
-        head_accuracy(enc, params["head/w"], params["head/b"][0],
-                      stream.test_sets)
-    )
+    def score():
+        harness.matrix.add_row(head_accuracy(
+            enc, params["head/w"], params["head/b"][0], stream.test_sets))
 
-    report = harness.report(
-        oracle_calls=n,
-        label_fraction=1.0,
-        head_row=harness.matrix.rows[-1],
-        started=started,
-    )
+    if cfg.method == "finetune":
+        for task, batches in stream.iter_tasks():
+            for b_s in batches:
+                feats = np.stack([s.features for s in b_s])
+                labels = np.array(_stream_labels(stream, b_s))
+                harness.step(params, _ce_forward(enc, feats, labels), task.index)
+            score()
+    else:
+        feats = stream.data.features
+        labels = stream.oracle.labels
+        for _ in range(cfg.epochs):
+            order = rngs["shuffle"].permutation(len(labels))
+            for start in range(0, len(labels), cfg.stream_batch):
+                take = order[start:start + cfg.stream_batch]
+                harness.step(params, _ce_forward(enc, feats[take], labels[take]),
+                             None)
+        score()
+
+    report = harness.report(oracle_calls=stream.n_samples,
+                            head_row=harness.matrix.rows[-1])
     return enc, None, report
-
-
-_TRAINERS = {
-    "ours": train_ours,
-    "scr": train_scr,
-    "scr-mo": train_scr_mo,
-    "er": train_er,
-    "er-mo": train_er_mo,
-    "finetune": train_finetune,
-    "offline": train_offline,
-}
 
 
 def run(cfg: TrainConfig, stream: TaskStream,
         model: MlpSpec | ConvSpec) -> tuple[Encoder, MemoryBuffer | None, RunReport]:
-    """Dispatch on cfg.method, building the memory buffer when one is needed."""
-    memory = MemoryBuffer(cfg.mem_size) if cfg.method in MEMORY_METHODS else None
-    return _TRAINERS[cfg.method](cfg, stream, memory, model)
+    """Train cfg.method on the stream: replay for the memory methods,
+    head-only training for finetune and offline."""
+    if cfg.method in MEMORY_METHODS:
+        return _train_replay(cfg, stream, model)
+    return _train_head_only(cfg, stream, model)
 
 
 def expected_steps(cfg: TrainConfig, stream: TaskStream) -> int:

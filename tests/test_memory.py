@@ -12,12 +12,10 @@ from semicon.memory import (
     MemoryBuffer,
     Oracle,
     expected_oracle_calls,
-    label_fraction,
     reservoir_update,
     reservoir_update_batch,
     retrieve,
     simulate_oracle_calls,
-    snapshot_records,
 )
 
 
@@ -184,13 +182,6 @@ def test_retrieve_without_replacement():
 # oracle budget
 # ---------------------------------------------------------------------------
 
-def test_label_fraction_full_coverage():
-    buf = fill(capacity=50, n=30)
-    assert label_fraction(buf, 30) == 1.0
-    with pytest.raises(ValueError):
-        label_fraction(buf, 0)
-
-
 def test_expected_calls_closed_form():
     assert expected_oracle_calls(10, 10) == 10.0
     assert expected_oracle_calls(10, 5) == 5.0
@@ -236,17 +227,3 @@ def test_simulator_matches_real_buffer_distribution():
     assert stats.ks_2samp(real, sim).pvalue > 1e-3
     assert real.mean() == pytest.approx(
         expected_oracle_calls(capacity, n), abs=3 * np.sqrt(real.var() / trials))
-
-
-# ---------------------------------------------------------------------------
-# snapshots
-# ---------------------------------------------------------------------------
-
-def test_snapshot_records_shape():
-    stream = [FakeSample(i, np.full(3, float(i))) for i in range(4)]
-    buf = MemoryBuffer(10)
-    reservoir_update_batch(buf, stream, ids_oracle(4), np.random.default_rng(0))
-    recs = snapshot_records(buf)
-    assert [(sid, lab) for sid, lab, _ in recs] == [(i, i % 10) for i in range(4)]
-    assert all(np.array_equal(feat, np.full(3, float(sid)))
-               for sid, _, feat in recs)

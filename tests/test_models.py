@@ -3,8 +3,7 @@ import pytest
 
 from semicon import autodiff as ad
 from semicon import models
-from semicon.checkpoint import load_checkpoint, save_checkpoint
-from semicon.errors import DataError, ShapeError
+from semicon.errors import ShapeError
 
 MLP = models.MlpSpec(in_dim=6, hidden=(8,), out_dim=5)
 TINY_CONV = models.ConvSpec(in_shape=(2, 12, 12), channels=(2, 3),
@@ -107,38 +106,3 @@ def test_mlp_forward_matches_plain_numpy():
     z = hid @ proj.params["proj/w2"] + proj.params["proj/b2"]
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     assert np.allclose(models.project(proj, models.encode(enc, x)), z, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# checkpoint container
-# ---------------------------------------------------------------------------
-
-def test_checkpoint_round_trip(tmp_path):
-    enc, proj = models.init_params(21, MLP)
-    tensors = {**enc.params, **proj.params}
-    items = [(7, 2, np.arange(6.0)), (9, 0, np.ones((2, 3)))]
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, tensors, items)
-    loaded, mem = load_checkpoint(path)
-    assert set(loaded) == set(tensors)
-    for k in tensors:
-        assert np.array_equal(loaded[k], tensors[k])
-    assert [(s, l) for s, l, _ in mem] == [(7, 2), (9, 0)]
-    assert np.array_equal(mem[0][2], np.arange(6.0))
-    assert np.array_equal(mem[1][2], np.ones((2, 3)))
-
-
-def test_checkpoint_bad_magic(tmp_path):
-    path = tmp_path / "junk.ckpt"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(DataError, match="magic"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_truncation(tmp_path):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, {"w": np.ones((4, 4))})
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-8])
-    with pytest.raises(DataError, match="truncated"):
-        load_checkpoint(path)

@@ -53,7 +53,8 @@ def test_task_class_purity():
 
 def test_stream_samples_carry_no_labels():
     stream = split_dataset(toy_dataset(), n_tasks=2, seed=0)
-    assert all(s.label is None for _, batch in stream.batches() for s in batch)
+    assert not any(hasattr(s, "label") for _, batch in stream.batches()
+                   for s in batch)
 
 
 def test_single_pass_emits_each_sample_once():
@@ -92,12 +93,6 @@ def test_emission_order_deterministic():
     assert order(a) != order(c)
 
 
-def test_shuffled_class_order_stays_disjoint():
-    stream = split_dataset(toy_dataset(), n_tasks=2, seed=5,
-                           shuffle_classes=True)
-    groups = [set(t.class_ids) for t in stream.tasks]
-    assert groups[0] | groups[1] == {0, 1, 2, 3}
-    assert not groups[0] & groups[1]
 
 
 def test_test_sets_follow_task_classes():
@@ -236,17 +231,6 @@ def test_cifar_truncation_reports_offset(tmp_path):
     f.write_bytes(bytes(3073 * 2 + 100))
     with pytest.raises(DataError, match="byte 6146"):
         load_cifar_binary(f)
-
-
-def test_cifar_standardization(tmp_path):
-    f = tmp_path / "std.bin"
-    rng = np.random.default_rng(0)
-    write_cifar(f, [0] * 8, lambda i: list(rng.integers(0, 256, 3072)))
-    data = load_cifar_binary(f, standardize=True)
-    means = data.features.mean(axis=(0, 2, 3))
-    stds = data.features.std(axis=(0, 2, 3))
-    assert np.allclose(means, 0.0, atol=1e-12)
-    assert np.allclose(stds, 1.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,7 @@ import pytest
 import reference
 from semicon import autodiff as ad
 from semicon import losses, trainers
-from semicon.errors import ConfigError
-from semicon.memory import MemoryBuffer
+from semicon.errors import ConfigError, NumericError
 from semicon.models import MlpSpec, bind, init_params
 from semicon.reports import canonical_json, from_json, to_json
 from semicon.stream import AugmentationSpec, make_multiview, make_synthetic
@@ -70,10 +69,11 @@ def test_config_validates_numbers():
         TrainConfig(method="ours", tau=-1.0)
 
 
-def test_trainer_method_mismatch_rejected():
-    stream = small_stream()
-    with pytest.raises(ConfigError, match="train_ours got"):
-        trainers.train_ours(cfg_for("scr"), stream, MemoryBuffer(30), MODEL)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_loss_stops_the_run():
+    stream = small_stream(seed=5)
+    with pytest.raises(NumericError, match=r"er: loss .* at step \d+ \(task \d\)"):
+        run(cfg_for("er", seed=1, learning_rate=1e18), stream, MODEL)
 
 
 def test_stream_batch_mismatch_rejected():
