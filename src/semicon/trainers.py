@@ -221,15 +221,14 @@ def _n_classes(stream: TaskStream) -> int:
 
 
 def _contrastive_forward(enc: Encoder, proj: ProjectionHead, views: np.ndarray,
-                         idx, loss_cfg: losses.LossConfig,
-                         supervised_only: bool):
+                         idx, loss_cfg: losses.LossConfig):
+    """On the all-labeled batches of scr and scr-mo the unified loss is
+    exactly the supervised term: the unlabeled term is a constant 0."""
     mask = losses.build_masks(idx)
     prepared = enc.prepare(views)
 
     def forward(bound, tape):
         z = proj.apply(bound, enc.apply(bound, tape.const(prepared)))
-        if supervised_only:
-            return losses.loss_mem(z, idx, mask, loss_cfg)
         return losses.semicon(z, idx, mask, loss_cfg)
 
     return forward
@@ -296,8 +295,7 @@ def _train_replay(cfg: TrainConfig, stream: TaskStream,
                 views, idx = make_multiview(list(zip(samples, labels)), aug,
                                             rngs["augment"])
                 harness.step(params, _contrastive_forward(
-                    enc, proj, views, idx, loss_cfg,
-                    cfg.method != "ours"), task.index)
+                    enc, proj, views, idx, loss_cfg), task.index)
             else:
                 feats = np.stack([s.features for s in samples])
                 harness.step(params, _ce_forward(enc, feats, np.array(labels)),
