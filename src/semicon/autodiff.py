@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError, ShapeError
 
@@ -237,6 +238,68 @@ def gather(a: Var, indices: Array) -> Var:
     return _record("gather", (a,), av.ravel()[idx], vjp)
 
 
+def _require_4d(op: str, x: Var) -> None:
+    if x.data.ndim != 4:
+        raise ShapeError(f"{op}: expected an NHWC tensor, got shape {x.shape}")
+
+
+def im2col(a: Var, k: int) -> Var:
+    """Patch matrix of a valid k x k convolution over an NHWC tensor.
+
+    Row (b, y, x) holds the window at output pixel (y, x) of image b,
+    laid out in (ki, kj, channel) order, so `matmul` with a
+    (k*k*c, out_c) kernel matrix computes the convolution.
+    """
+    _require_4d("im2col", a)
+    n, h, w, c = a.shape
+    oh, ow = h - k + 1, w - k + 1
+    if k < 1 or oh < 1 or ow < 1:
+        raise ShapeError(f"im2col: no valid {k}x{k} window in shape {a.shape}")
+    windows = sliding_window_view(a.data, (k, k), axis=(1, 2))  # n, oh, ow, c, k, k
+    out = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, k * k * c)
+
+    def vjp(g: Array):
+        # col2im; offsets in descending (i, j) order add each pixel's
+        # contributions in the order a flat-index scatter would
+        g6 = g.reshape(n, oh, ow, k, k, c)
+        ga = np.zeros((n, h, w, c))
+        for i in range(k - 1, -1, -1):
+            for j in range(k - 1, -1, -1):
+                ga[:, i:i + oh, j:j + ow] += g6[:, :, :, i, j]
+        return (ga,)
+
+    return _record("im2col", (a,), out, vjp)
+
+
+def maxpool2d(a: Var, p: int) -> Var:
+    """Max over non-overlapping p x p windows of an NHWC tensor.
+
+    Trailing rows and columns that fill no window are dropped. The
+    gradient goes to the first maximum of each window in row-major order.
+    """
+    _require_4d("maxpool2d", a)
+    n, h, w, c = a.shape
+    ph, pw = h // p, w // p
+    if p < 1 or ph < 1 or pw < 1:
+        raise ShapeError(f"maxpool2d: no {p}x{p} window in shape {a.shape}")
+    cropped = a.data[:, :ph * p, :pw * p]
+    windows = (cropped.reshape(n, ph, p, pw, p, c).transpose(0, 1, 3, 5, 2, 4)
+               .reshape(n, ph, pw, c, p * p))
+    first = windows.argmax(axis=-1)[..., None]
+    out = np.take_along_axis(windows, first, axis=-1)[..., 0]
+    in_shape = a.shape
+
+    def vjp(g: Array):
+        routed = np.where(np.arange(p * p) == first, g[..., None], 0.0)
+        ga = np.zeros(in_shape)
+        ga[:, :ph * p, :pw * p] = (routed.reshape(n, ph, pw, c, p, p)
+                                   .transpose(0, 1, 4, 2, 5, 3)
+                                   .reshape(n, ph * p, pw * p, c))
+        return (ga,)
+
+    return _record("maxpool2d", (a,), out, vjp)
+
+
 def reshape(a: Var, shape: tuple[int, ...]) -> Var:
     if int(np.prod(shape)) != a.data.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
@@ -263,23 +326,30 @@ def mean(a: Var) -> Var:
 # ---------------------------------------------------------------------------
 
 def backward(root: Var) -> dict[int, Array]:
-    """Gradients of a scalar root with respect to every reachable node.
+    """Gradients of a scalar root with respect to every node it reaches
+    through values that depend on a ``param``.
 
     Returns a map node-id -> gradient array (same shape as the node's
-    value). Leaves the tape untouched; raises on a non-scalar root.
+    value). Nodes computed from constants alone (inputs, masks) get no
+    entry and their vjps never run. Leaves the tape untouched; raises on
+    a non-scalar root.
     """
     if root.data.size != 1:
         raise ShapeError(f"backward: root must be scalar, got shape {root.shape}")
     nodes = root.tape.nodes
+    needs = [False] * (root.idx + 1)
+    for i in range(root.idx + 1):
+        node = nodes[i]
+        needs[i] = node.op == "param" or any(needs[p] for p in node.parents)
     grads: dict[int, Array] = {root.idx: np.ones_like(nodes[root.idx].value)}
     for i in range(root.idx, -1, -1):
         g = grads.get(i)
-        if g is None:
-            continue
         node = nodes[i]
-        if node.vjp is None:
+        if g is None or node.vjp is None or not needs[i]:
             continue
         for pid, pg in zip(node.parents, node.vjp(g)):
+            if not needs[pid]:
+                continue
             if pid in grads:
                 grads[pid] = grads[pid] + pg
             else:

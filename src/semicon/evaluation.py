@@ -56,7 +56,9 @@ def class_means(latents: np.ndarray, labels: np.ndarray) -> ClassMeans:
 def nearest_mean(means: ClassMeans, latents: np.ndarray) -> np.ndarray:
     """Class of the Euclidean-nearest mean per row; ties take the lowest id."""
     x = normalize_rows(np.asarray(latents, dtype=np.float64))
-    d2 = ((x[:, None, :] - means.means[None, :, :]) ** 2).sum(axis=2)
+    m = means.means
+    d2 = ((x * x).sum(axis=1)[:, None] - 2.0 * (x @ m.T)
+          + (m * m).sum(axis=1)[None, :])
     return means.class_ids[np.argmin(d2, axis=1)]
 
 

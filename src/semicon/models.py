@@ -4,7 +4,7 @@ Two desk-scale encoders: an MLP for synthetic vector streams and a small
 two-conv-block network for 32x32x3 images. The projection head is an MLP
 with one hidden layer, a ReLU, and a row-normalized output (default size
 128). Parameters live in a name -> float64 array mapping; training binds
-them onto a tape, evaluation runs the same forward on a throwaway tape.
+them onto a tape, evaluation runs the same forward on throwaway tapes.
 
 Projections are L2-normalized before any similarity is taken; the head is
 dropped at test time and only encoder latents reach the classifier.
@@ -20,6 +20,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Var
 from .errors import ShapeError
+
+# input values per encode slice: 42 CIFAR images (about 26 MB of tape),
+# or 4096 rows of width 32
+ENCODE_SLICE_VALUES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -54,28 +58,6 @@ def bind(tape: Tape, params: Mapping[str, np.ndarray]) -> dict[str, Var]:
 
 def _linear(x: Var, bound: Mapping[str, Var], w: str, b: str) -> Var:
     return ad.add(ad.matmul(x, bound[w]), bound[b])
-
-
-def _conv_patch_indices(n: int, h: int, w: int, c: int, k: int) -> np.ndarray:
-    """Flat NHWC indices shaped (n*oh*ow, k*k*c) for valid 3x3 windows."""
-    oh, ow = h - k + 1, w - k + 1
-    bn = np.arange(n).reshape(n, 1, 1, 1, 1, 1)
-    ii = (np.arange(oh).reshape(oh, 1) + np.arange(k)).reshape(1, oh, 1, k, 1, 1)
-    jj = (np.arange(ow).reshape(ow, 1) + np.arange(k)).reshape(1, 1, ow, 1, k, 1)
-    cc = np.arange(c).reshape(1, 1, 1, 1, 1, c)
-    idx = ((bn * h + ii) * w + jj) * c + cc
-    return np.broadcast_to(idx, (n, oh, ow, k, k, c)).reshape(n * oh * ow, k * k * c)
-
-
-def _pool_window_indices(n: int, h: int, w: int, c: int, p: int) -> np.ndarray:
-    """Flat NHWC indices shaped (n*ph*pw*c, p*p); trailing rows/cols cropped."""
-    ph, pw = h // p, w // p
-    bn = np.arange(n).reshape(n, 1, 1, 1, 1, 1)
-    ii = (np.arange(ph).reshape(ph, 1) * p + np.arange(p)).reshape(1, ph, 1, 1, p, 1)
-    jj = (np.arange(pw).reshape(pw, 1) * p + np.arange(p)).reshape(1, 1, pw, 1, 1, p)
-    cc = np.arange(c).reshape(1, 1, 1, c, 1, 1)
-    idx = ((bn * h + ii) * w + jj) * c + cc
-    return np.broadcast_to(idx, (n, ph, pw, c, p, p)).reshape(n * ph * pw * c, p * p)
 
 
 @dataclass
@@ -119,27 +101,16 @@ class Encoder:
 
     def _apply_conv(self, bound: Mapping[str, Var], x: Var) -> Var:
         spec = self.spec
-        c, h, w = spec.in_shape
-        k, p = spec.kernel, spec.pool
-        n = x.shape[0]
+        k = spec.kernel
         act = x
-        in_c = c
         for block, out_c in enumerate(spec.channels, start=1):
-            patches = ad.reshape(
-                ad.gather(act, _conv_patch_indices(n, h, w, in_c, k)),
-                (n * (h - k + 1) * (w - k + 1), k * k * in_c),
-            )
-            conv = ad.relu(_linear(patches, bound, f"enc/c{block}_w", f"enc/c{block}_b"))
-            h, w = h - k + 1, w - k + 1
-            conv = ad.reshape(conv, (n, h, w, out_c))
-            windows = ad.reshape(
-                ad.gather(conv, _pool_window_indices(n, h, w, out_c, p)),
-                (n * (h // p) * (w // p) * out_c, p * p),
-            )
-            h, w = h // p, w // p
-            act = ad.reshape(ad.row_max(windows), (n, h, w, out_c))
-            in_c = out_c
-        flat = ad.reshape(act, (n, h * w * in_c))
+            n, h, w, _ = act.shape
+            conv = ad.relu(_linear(ad.im2col(act, k), bound,
+                                   f"enc/c{block}_w", f"enc/c{block}_b"))
+            conv = ad.reshape(conv, (n, h - k + 1, w - k + 1, out_c))
+            act = ad.maxpool2d(conv, spec.pool)
+        n, h, w, c = act.shape
+        flat = ad.reshape(act, (n, h * w * c))
         return _linear(flat, bound, "enc/dense_w", "enc/dense_b")
 
 
@@ -206,7 +177,24 @@ def init_params(seed: int, spec: MlpSpec | ConvSpec,
 
 
 def encode(enc: Encoder, batch: np.ndarray) -> np.ndarray:
-    """Latent rows for a raw batch (throwaway tape, no gradients kept)."""
+    """Latent rows for a raw batch (throwaway tapes, no gradients kept).
+
+    A batch of more than ENCODE_SLICE_VALUES input values goes through
+    the encoder in near-equal slices, so the tape's transient memory
+    does not grow with the batch. Equal slices keep the smallest one
+    large: BLAS rounds a product of one or a few rows differently, and a
+    row's latent should not depend on the size of its batch.
+    """
+    spec = enc.spec
+    width = spec.in_dim if isinstance(spec, MlpSpec) else int(np.prod(spec.in_shape))
+    rows = max(1, ENCODE_SLICE_VALUES // width)
+    if len(batch) <= rows:
+        return _encode_slice(enc, batch)
+    parts = np.array_split(batch, -(-len(batch) // rows))
+    return np.concatenate([_encode_slice(enc, part) for part in parts])
+
+
+def _encode_slice(enc: Encoder, batch: np.ndarray) -> np.ndarray:
     tape = Tape()
     return enc.apply(bind(tape, enc.params), tape.const(enc.prepare(batch))).data
 

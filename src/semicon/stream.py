@@ -259,7 +259,8 @@ def load_cifar_binary(path, *, label_bytes: int = 1) -> LabeledDataset:
 
     CIFAR-10 files carry 1 label byte per record; CIFAR-100 carries 2
     (coarse then fine; the fine label is kept). Pixels are scaled to
-    [0, 1].
+    [0, 1]. A kept label outside the dataset's 10 or 100 classes raises
+    `DataError`.
     """
     if label_bytes not in (1, 2):
         raise ConfigError(f"label_bytes must be 1 or 2, got {label_bytes}")
@@ -275,6 +276,13 @@ def load_cifar_binary(path, *, label_bytes: int = 1) -> LabeledDataset:
         raise DataError(f"{path}: no records")
     rows = raw.reshape(n, record)
     labels = rows[:, label_bytes - 1].astype(np.int64)
+    n_classes = 10 if label_bytes == 1 else 100
+    bad = np.flatnonzero(labels >= n_classes)
+    if bad.size:
+        raise DataError(
+            f"{path}: record {bad[0]} has label {labels[bad[0]]}, "
+            f"expected 0..{n_classes - 1}"
+        )
     pixels = rows[:, label_bytes:].astype(np.float64) / 255.0
     return LabeledDataset(pixels.reshape(n, *CIFAR_SHAPE), labels)
 

@@ -1,13 +1,17 @@
-"""Scalar-loop reference implementations used as test oracles.
+"""Reference implementations used as test oracles.
 
-Everything here follows the defining formulas term by term, with plain
-Python loops and none of the vectorized or stabilized structure of the
-library code. Deliberately slow; use tiny inputs.
+Everything here but the conv encoder follows the defining formulas term
+by term, with plain Python loops and none of the vectorized or
+stabilized structure of the library code. Deliberately slow; use tiny
+inputs. The conv encoder builds every convolution and pool from flat
+index `gather`s and `row_max`, so its backward is an `np.add.at` scatter.
 """
 
 import math
 
 import numpy as np
+
+from semicon import autodiff as ad
 
 
 def contrastive_anchor(z, i, positives, tau):
@@ -78,3 +82,56 @@ def nearest_mean(x, means):
         if d < best_d:
             best, best_d = k, d
     return best
+
+
+def conv_patch_indices(n, h, w, c, k):
+    """Flat NHWC indices shaped (n*oh*ow, k*k*c) for valid k x k windows."""
+    oh, ow = h - k + 1, w - k + 1
+    bn = np.arange(n).reshape(n, 1, 1, 1, 1, 1)
+    ii = (np.arange(oh).reshape(oh, 1) + np.arange(k)).reshape(1, oh, 1, k, 1, 1)
+    jj = (np.arange(ow).reshape(ow, 1) + np.arange(k)).reshape(1, 1, ow, 1, k, 1)
+    cc = np.arange(c).reshape(1, 1, 1, 1, 1, c)
+    idx = ((bn * h + ii) * w + jj) * c + cc
+    return np.broadcast_to(idx, (n, oh, ow, k, k, c)).reshape(n * oh * ow, k * k * c)
+
+
+def pool_window_indices(n, h, w, c, p):
+    """Flat NHWC indices shaped (n*ph*pw*c, p*p); trailing rows/cols cropped."""
+    ph, pw = h // p, w // p
+    bn = np.arange(n).reshape(n, 1, 1, 1, 1, 1)
+    ii = (np.arange(ph).reshape(ph, 1) * p + np.arange(p)).reshape(1, ph, 1, 1, p, 1)
+    jj = (np.arange(pw).reshape(pw, 1) * p + np.arange(p)).reshape(1, 1, pw, 1, 1, p)
+    cc = np.arange(c).reshape(1, 1, 1, c, 1, 1)
+    idx = ((bn * h + ii) * w + jj) * c + cc
+    return np.broadcast_to(idx, (n, ph, pw, c, p, p)).reshape(n * ph * pw * c, p * p)
+
+
+def conv_encoder_gather(spec, bound, x):
+    """The conv encoder's forward on a tape, from gathers and row_max.
+
+    `x` is the prepared NHWC batch as a tape node; `bound` maps the
+    encoder's parameter names to tape nodes.
+    """
+    c, h, w = spec.in_shape
+    k, p = spec.kernel, spec.pool
+    n = x.shape[0]
+    act = x
+    in_c = c
+    for block, out_c in enumerate(spec.channels, start=1):
+        patches = ad.reshape(
+            ad.gather(act, conv_patch_indices(n, h, w, in_c, k)),
+            (n * (h - k + 1) * (w - k + 1), k * k * in_c),
+        )
+        conv = ad.relu(ad.add(ad.matmul(patches, bound[f"enc/c{block}_w"]),
+                              bound[f"enc/c{block}_b"]))
+        h, w = h - k + 1, w - k + 1
+        conv = ad.reshape(conv, (n, h, w, out_c))
+        windows = ad.reshape(
+            ad.gather(conv, pool_window_indices(n, h, w, out_c, p)),
+            (n * (h // p) * (w // p) * out_c, p * p),
+        )
+        h, w = h // p, w // p
+        act = ad.reshape(ad.row_max(windows), (n, h, w, out_c))
+        in_c = out_c
+    flat = ad.reshape(act, (n, h * w * in_c))
+    return ad.add(ad.matmul(flat, bound["enc/dense_w"]), bound["enc/dense_b"])

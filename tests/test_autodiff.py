@@ -75,6 +75,12 @@ def test_shape_mismatch_names_primitive():
         ad.gather(tape.const(np.ones(3)), np.array([5]))
     with pytest.raises(ShapeError, match="reshape"):
         ad.reshape(tape.const(np.ones(3)), (2, 2))
+    with pytest.raises(ShapeError, match="im2col"):
+        ad.im2col(tape.const(np.ones((2, 3))), 3)
+    with pytest.raises(ShapeError, match="im2col"):
+        ad.im2col(tape.const(np.ones((1, 2, 5, 1))), 3)
+    with pytest.raises(ShapeError, match="maxpool2d"):
+        ad.maxpool2d(tape.const(np.ones((1, 1, 4, 1))), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +107,47 @@ def test_backward_rejects_non_scalar_root():
     x = tape.param(np.ones((2, 2)))
     with pytest.raises(ShapeError, match="scalar"):
         ad.backward(ad.relu(x))
+
+
+def test_backward_skips_nodes_that_depend_on_no_param():
+    rng = np.random.default_rng(5)
+    xv, wv = rng.normal(size=(4, 3)), rng.normal(size=(3, 2))
+    mask = (rng.normal(size=(4, 2)) > 0).astype(float)
+    calls = []
+
+    def spy(g):
+        calls.append(g.shape)
+        return (g,)
+
+    def grads_of(leaf):
+        tape = ad.Tape()
+        x, w = leaf(tape, xv), tape.param(wv)
+        xs = ad._record("spy", (x,), x.data.copy(), spy)
+        h = ad.mul(ad.matmul(ad.relu(xs), w), tape.const(mask))
+        return tape, w, ad.backward(ad.total_sum(ad.exp(h)))
+
+    tape, w, pruned = grads_of(ad.Tape.const)
+    assert calls == []
+    assert all(tape.nodes[i].op not in ("const", "spy", "relu") for i in pruned)
+    _, w_full, full = grads_of(ad.Tape.param)
+    assert calls == [(4, 3)]
+    assert np.array_equal(pruned[w.idx], full[w_full.idx])
+
+
+def test_maxpool2d_routes_ties_to_first_maximum():
+    x = np.array([[1.0, 3.0, 0.0, 0.0, 9.0],
+                  [3.0, 2.0, 0.0, 0.0, 9.0],
+                  [9.0, 9.0, 9.0, 9.0, 9.0]]).reshape(1, 3, 5, 1)
+    tape = ad.Tape()
+    xv = tape.param(x)
+    out = ad.maxpool2d(xv, 2)  # the last row and column fill no window
+    assert np.array_equal(out.data.ravel(), [3.0, 0.0])
+    weights = tape.const(np.array([5.0, 7.0]).reshape(1, 1, 2, 1))
+    grads = ad.backward(ad.total_sum(ad.mul(out, weights)))
+    want = np.zeros((1, 3, 5, 1))
+    want[0, 0, 1, 0] = 5.0
+    want[0, 0, 2, 0] = 7.0
+    assert np.array_equal(grads[xv.idx], want)
 
 
 def test_tape_replay_deterministic():
@@ -183,6 +230,22 @@ def _case_gather(rng):
     return [x], lambda a: ad.gather(a, idx)
 
 
+def _case_im2col(rng):
+    k = int(rng.integers(1, 4))
+    n, c = rng.integers(1, 3, size=2)
+    h, w = rng.integers(k, k + 3, size=2)
+    return [rng.normal(size=(n, h, w, c))], lambda a: ad.im2col(a, k)
+
+
+def _case_maxpool2d(rng):
+    p = int(rng.integers(1, 4))
+    n, c = rng.integers(1, 3, size=2)
+    h, w = rng.integers(p, 2 * p + 2, size=2)
+    # distinct values spaced far wider than the difference step
+    x = 0.01 * rng.permutation(n * h * w * c).reshape(n, h, w, c)
+    return [x], lambda a: ad.maxpool2d(a, p)
+
+
 def _case_reshape(rng):
     return [rng.normal(size=(3, 4))], lambda a: ad.reshape(a, (2, 6))
 
@@ -208,6 +271,8 @@ PRIMITIVE_CASES = {
     "l2_normalize_rows": _case_l2_normalize,
     "gram": _case_gram,
     "gather": _case_gather,
+    "im2col": _case_im2col,
+    "maxpool2d": _case_maxpool2d,
     "reshape": _case_reshape,
     "mean": _case_mean,
     "total_sum": _case_total_sum,

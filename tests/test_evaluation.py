@@ -97,9 +97,34 @@ def test_nearest_mean_matches_brute_force():
     assert list(got) == want
 
 
+def test_nearest_mean_matches_brute_force_on_zero_rows():
+    rng = np.random.default_rng(2)
+    fitted = class_means(rng.normal(size=(20, 6)), rng.integers(0, 5, size=20))
+    # a class whose latents cancel out keeps a zero mean row
+    cm = ClassMeans(np.append(fitted.class_ids, 9),
+                    np.vstack([fitted.means, np.zeros((1, 6))]))
+    queries = rng.normal(size=(30, 6))
+    queries[[4, 17]] = 0.0
+    got = nearest_mean(cm, queries)
+    want = [cm.class_ids[reference.nearest_mean(q, cm.means)]
+            for q in normalize_rows(queries)]
+    assert list(got) == want
+    assert got[4] == got[17] == 9
+
+
 def test_tie_breaks_to_lowest_class_id():
     cm = ClassMeans(np.array([2, 7]), np.array([[1.0, 0.0], [1.0, 0.0]]))
     assert nearest_mean(cm, np.array([[0.3, 0.7]]))[0] == 2
+
+
+@pytest.mark.parametrize("means, query, want", [
+    ([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], 2),
+    ([[0.0, 0.0], [0.0, 0.0]], [0.6, 0.8], 2),
+    ([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [0.0, 1.0], 7),
+])
+def test_zero_row_ties_break_to_lowest_class_id(means, query, want):
+    cm = ClassMeans(np.array([2, 7, 8][:len(means)]), np.array(means))
+    assert nearest_mean(cm, np.array([query]))[0] == want
 
 
 def test_rotation_invariance():

@@ -1,6 +1,10 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import reference
 from semicon import autodiff as ad
 from semicon import models
 from semicon.errors import ShapeError
@@ -91,6 +95,66 @@ def test_conv_encoder_gradients():
         return ad.mean(ad.gram(z))
 
     assert ad.finite_diff_check(f, values) < 1e-6
+
+
+def _encoder_and_head_grads(enc, proj, prepared, forward):
+    """Latents and the gradient of every encoder and head parameter of
+    mean(gram(z)), with the encoder's forward given by `forward`."""
+    tape = ad.Tape()
+    bound = models.bind(tape, {**enc.params, **proj.params})
+    h = forward(bound, tape.const(prepared))
+    root = ad.mean(ad.gram(proj.apply(bound, h)))
+    return h.data, ad.grads_for(ad.backward(root), list(bound.values())), tape
+
+
+@pytest.mark.parametrize("spec, n", [
+    (models.ConvSpec(), 40),
+    # 11x11 and 3x3 conv maps: both pools drop their last row and column
+    (dataclasses.replace(TINY_CONV, in_shape=(2, 13, 13)), 6),
+])
+def test_conv_encoder_matches_gather_reference_bitwise(spec, n):
+    enc, proj = models.init_params(21, spec, head_hidden=8, proj_dim=4)
+    prepared = enc.prepare(np.random.default_rng(21).uniform(size=(n, *spec.in_shape)))
+    h, grads, _ = _encoder_and_head_grads(enc, proj, prepared, enc.apply)
+    h_ref, grads_ref, ref_tape = _encoder_and_head_grads(
+        enc, proj, prepared,
+        lambda bound, x: reference.conv_encoder_gather(spec, bound, x))
+    assert np.array_equal(h, h_ref)
+    assert np.array_equal(models.encode(enc, prepared.transpose(0, 3, 1, 2)), h_ref)
+    for g, g_ref in zip(grads, grads_ref):
+        assert np.array_equal(g, g_ref)
+    if spec == models.ConvSpec():  # ReLU zeros tie inside pool windows
+        windows = next(ref_tape.nodes[node.parents[0]].value
+                       for node in ref_tape.nodes if node.op == "row_max")
+        assert np.any((windows == 0.0).all(axis=1))
+
+
+@pytest.mark.parametrize("spec", [MLP, TINY_CONV])
+def test_sliced_encode_equals_one_slice(spec, monkeypatch):
+    enc, _ = models.init_params(4, spec)
+    in_shape = (spec.in_dim,) if isinstance(spec, models.MlpSpec) else spec.in_shape
+    x = np.random.default_rng(4).normal(size=(10, *in_shape))
+    whole = models.encode(enc, x)
+    monkeypatch.setattr(models, "ENCODE_SLICE_VALUES", 3 * int(np.prod(in_shape)))
+    assert np.array_equal(models.encode(enc, x), whole)
+
+
+def test_encode_memory_does_not_grow_with_batch():
+    enc, _ = models.init_params(6, models.ConvSpec())
+    rows = models.ENCODE_SLICE_VALUES // (3 * 32 * 32)
+    x = np.random.default_rng(6).uniform(size=(2000, 3, 32, 32))
+
+    def peak(batch):
+        tracemalloc.start()
+        try:
+            out = models.encode(enc, batch)
+            return tracemalloc.get_traced_memory()[1], out.nbytes
+        finally:
+            tracemalloc.stop()
+
+    one_slice, _ = peak(x[:rows])
+    every_row, out_bytes = peak(x)
+    assert every_row <= one_slice + out_bytes
 
 
 def test_mlp_forward_matches_plain_numpy():

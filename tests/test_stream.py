@@ -226,6 +226,18 @@ def test_cifar_two_label_bytes(tmp_path):
     assert list(data.labels) == [42, 1]  # fine label = second byte
 
 
+@pytest.mark.parametrize("label_bytes, heads, value", [
+    (1, [[3], [9], [10], [4]], 10),
+    (2, [[1, 42], [19, 99], [0, 100]], 100),  # (coarse, fine) bytes
+])
+def test_cifar_label_out_of_range(tmp_path, label_bytes, heads, value):
+    f = tmp_path / "labels.bin"
+    f.write_bytes(b"".join(bytes(h) + bytes(3072) for h in heads))
+    with pytest.raises(DataError, match=rf"record 2 has label {value}\b") as err:
+        load_cifar_binary(f, label_bytes=label_bytes)
+    assert str(err.value).startswith(f"{f}: ")
+
+
 def test_cifar_truncation_reports_offset(tmp_path):
     f = tmp_path / "bad.bin"
     f.write_bytes(bytes(3073 * 2 + 100))
