@@ -3,9 +3,10 @@
 A batch of b sources (b_l labeled, b_u unlabeled) is expanded to 2b
 augmented views. Labeled anchors pull toward every same-class view, with
 the whole batch (labeled and unlabeled alike) serving as negatives;
-unlabeled anchors pull only toward their own second view. The unified
-objective is the labeled-anchor sum plus alpha times the unlabeled-anchor
-sum; anchors are summed, not averaged (a per-anchor mean sits behind
+unlabeled anchors pull only toward their own second view. One softmax
+pass gives every anchor's loss; the unified objective is the labeled
+anchors' sum L_m plus alpha times the unlabeled anchors' sum L_u.
+Anchors are summed, not averaged (a per-anchor mean sits behind
 ``reduction="mean"`` for batch-size-invariant comparisons).
 
 Softmax denominators exclude the anchor itself and are evaluated in log
@@ -140,7 +141,8 @@ class LossConfig:
 
 
 def _per_anchor_losses(z: Var, positives: np.ndarray, tau: float) -> Var:
-    """Column of -mean_{p in P(i)} log softmax(z_i.z_p / tau), shape (n, 1)."""
+    """Column of -mean_{p in P(i)} log softmax(z_i.z_p / tau), shape (n, 1);
+    every row needs a positive, as a `PositiveMask` ensures."""
     n = z.shape[0]
     tape = z.tape
     logits = ad.scale(ad.gram(z), 1.0 / tau)
@@ -154,21 +156,25 @@ def _per_anchor_losses(z: Var, positives: np.ndarray, tau: float) -> Var:
     kill_diag = tape.const(np.diag(np.full(n, -np.inf)))
     den = ad.row_sum(ad.exp(ad.add(shifted, kill_diag)))
     log_prob = ad.add(shifted, ad.scale(ad.log(den), -1.0))
-    counts = positives.sum(axis=1)
-    weights = positives / np.maximum(counts, 1)[:, None]
+    weights = positives / positives.sum(axis=1, keepdims=True)
     return ad.scale(ad.row_sum(ad.mul(log_prob, tape.const(weights))), -1.0)
 
 
-def _anchor_reduce(per_anchor: Var, anchors: np.ndarray, reduction: str) -> Var:
-    if anchors.size == 0:
-        return per_anchor.tape.const(0.0)
-    n = per_anchor.shape[0]
-    indicator = np.zeros((n, 1))
-    indicator[anchors] = 1.0
-    total = ad.total_sum(ad.mul(per_anchor, per_anchor.tape.const(indicator)))
-    if reduction == "mean":
-        return ad.scale(total, 1.0 / anchors.size)
-    return total
+def _terms(z: Var, idx: MultiviewIndex, mask: PositiveMask,
+           cfg: LossConfig) -> tuple[Var, Var]:
+    """(L_m, L_u): group sums of one per-anchor column; an empty group is 0."""
+    per_anchor = _per_anchor_losses(z, mask.positives, cfg.tau)
+    terms = []
+    for group in (idx.labeled, ~idx.labeled):
+        count = int(group.sum())
+        if count == 0:
+            terms.append(z.tape.const(0.0))
+            continue
+        indicator = z.tape.const(group[:, None].astype(np.float64))
+        total = ad.total_sum(ad.mul(per_anchor, indicator))
+        terms.append(ad.scale(total, 1.0 / count) if cfg.reduction == "mean"
+                     else total)
+    return terms[0], terms[1]
 
 
 def _dispatch(fn):
@@ -187,36 +193,24 @@ def _dispatch(fn):
 
 @_dispatch
 def loss_mem(z, idx: MultiviewIndex, mask: PositiveMask, cfg: LossConfig):
-    """Supervised contrastive term over labeled anchors, full-batch negatives."""
-    anchors = idx.anchors_labeled
-    if anchors.size == 0:
-        return z.tape.const(0.0)
-    per_anchor = _per_anchor_losses(z, mask.positives, cfg.tau)
-    return _anchor_reduce(per_anchor, anchors, cfg.reduction)
+    """Supervised contrastive term L_m over labeled anchors, full-batch negatives."""
+    return _terms(z, idx, mask, cfg)[0]
 
 
 @_dispatch
 def loss_unlab(z, idx: MultiviewIndex, cfg: LossConfig):
-    """Self-supervised term over unlabeled anchors; positive is the paired view."""
-    anchors = idx.anchors_unlabeled
-    if anchors.size == 0:
-        return z.tape.const(0.0)
-    n = idx.n_views
-    pos = np.zeros((n, n), dtype=bool)
-    pos[anchors, idx.pair[anchors]] = True
-    per_anchor = _per_anchor_losses(z, pos, cfg.tau)
-    return _anchor_reduce(per_anchor, anchors, cfg.reduction)
+    """Self-supervised term L_u over unlabeled anchors; positive is the paired view."""
+    return _terms(z, idx, build_masks(idx), cfg)[1]
 
 
 @_dispatch
 def semicon(z, idx: MultiviewIndex, mask: PositiveMask, cfg: LossConfig):
-    """Unified loss: labeled term + alpha * unlabeled term.
+    """Unified loss: labeled term + alpha * unlabeled term, from one pass.
 
     ``galpha_on="labeled"`` moves the weight onto the labeled term
     instead (the per-anchor-weight reading of the unified form).
     """
-    lm = loss_mem(z, idx, mask, cfg)
-    lu = loss_unlab(z, idx, cfg)
+    lm, lu = _terms(z, idx, mask, cfg)
     if cfg.galpha_on == "labeled":
         return ad.add(ad.scale(lm, cfg.alpha), lu)
     return ad.add(lm, ad.scale(lu, cfg.alpha))

@@ -40,6 +40,11 @@ class LabeledDataset:
             raise DataError(
                 f"{len(self.features)} feature rows vs {len(self.labels)} labels"
             )
+        # a finite sum proves every value finite, with no per-value temporary
+        if not np.isfinite(np.sum(self.features)):
+            finite = np.isfinite(self.features).reshape(len(self), -1).all(axis=1)
+            if not finite.all():
+                raise DataError(f"feature row {np.argmin(finite)} holds a NaN or inf")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -91,11 +96,6 @@ class TaskStream:
     def n_samples(self) -> int:
         return sum(len(t) for t in self.tasks)
 
-    @property
-    def n_batches(self) -> int:
-        b = self.batch_size
-        return sum((len(t) + b - 1) // b for t in self.tasks)
-
     def _task_batches(self, task: Task) -> Iterator[list[Sample]]:
         feats = self.data.features
         for start in range(0, len(task), self.batch_size):
@@ -125,7 +125,8 @@ def split_dataset(
 
     Class groups are ascending by id; within-task sample order is
     shuffled by the seed. Train labels are reachable only through the
-    stream's oracle.
+    stream's oracle. A test class that no train sample has raises
+    `DataError`, since no task could score its rows.
     """
     if n_tasks < 1:
         raise ConfigError(f"task count must be >= 1, got {n_tasks}")
@@ -149,6 +150,9 @@ def split_dataset(
             test_sets.append(
                 test_data.subset(np.where(np.isin(test_data.labels, group))[0])
             )
+    if test_data is not None and sum(map(len, test_sets)) < len(test_data):
+        absent = np.setdiff1d(test_data.classes, classes)
+        raise DataError(f"test class {absent[0]} is absent from training")
     return TaskStream(
         tasks=tuple(tasks),
         data=data,

@@ -119,11 +119,13 @@ class TrainConfig:
             raise ConfigError(f"learning rate must be > 0, got {self.learning_rate}")
         # validate loss hyperparameters eagerly
         if self.method in CONTRASTIVE_METHODS:
-            losses.LossConfig(
-                tau=self.tau,
-                alpha=self.alpha if self.alpha is not None else 1.0,
-                galpha_on=self.galpha_on or "unlabeled",
-            )
+            self.loss_config()
+
+    def loss_config(self) -> losses.LossConfig:
+        """Contrastive loss settings; unset alpha and galpha_on take defaults."""
+        alpha = 1.0 if self.alpha is None else self.alpha
+        return losses.LossConfig(tau=self.tau, alpha=alpha,
+                                 galpha_on=self.galpha_on or "unlabeled")
 
 
 def _spawn_rngs(seed: int) -> dict[str, np.random.Generator]:
@@ -269,11 +271,7 @@ def _train_replay(cfg: TrainConfig, stream: TaskStream,
     if contrastive:
         params = {**enc.params, **proj.params}
         aug = cfg.augmentation or _default_augmentation(model)
-        loss_cfg = losses.LossConfig(
-            tau=cfg.tau,
-            alpha=cfg.alpha if cfg.alpha is not None else 1.0,
-            galpha_on=cfg.galpha_on or "unlabeled",
-        )
+        loss_cfg = cfg.loss_config()
     else:
         params = {**enc.params,
                   **_head_init(rngs, enc.out_dim, _n_classes(stream))}

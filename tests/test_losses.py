@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 import reference
 from semicon import autodiff as ad
 from semicon import losses
-from semicon.losses import LossConfig, MultiviewIndex, PositiveMask, build_masks
+from semicon.losses import (
+    GALPHA_CHOICES,
+    REDUCTIONS,
+    LossConfig,
+    MultiviewIndex,
+    PositiveMask,
+    build_masks,
+)
 
 
 def unit_rows(rng, n, d):
@@ -298,7 +305,36 @@ def test_semicon_decomposes_exactly(seed, b_l, b_u, alpha):
     whole = losses.semicon(z, idx, mask, cfg)
     parts = losses.loss_mem(z, idx, mask, cfg) + alpha * losses.loss_unlab(
         z, idx, cfg)
-    assert whole == pytest.approx(parts, abs=1e-12)
+    assert whole == parts
+
+
+def test_semicon_makes_one_softmax_pass():
+    z, idx = random_batch(59, b_l=3, b_u=2)
+    tape = ad.Tape()
+    losses.semicon(tape.param(z), idx, build_masks(idx), LossConfig(alpha=0.5))
+    assert [node.op for node in tape.nodes].count("gram") == 1
+
+
+@pytest.mark.parametrize("galpha_on", GALPHA_CHOICES)
+@pytest.mark.parametrize("reduction", REDUCTIONS)
+def test_semicon_gradient_matches_two_pass_sum(galpha_on, reduction):
+    # one pass shares a single gram vjp; the separate terms each have one
+    z, idx = random_batch(58, b_l=3, b_u=4)
+    mask = build_masks(idx)
+    cfg = LossConfig(alpha=0.6, galpha_on=galpha_on, reduction=reduction)
+    tape = ad.Tape()
+    zv = tape.param(z)
+    lm = losses.loss_mem(zv, idx, mask, cfg)
+    lu = losses.loss_unlab(zv, idx, cfg)
+    if galpha_on == "labeled":
+        two_pass = ad.add(ad.scale(lm, cfg.alpha), lu)
+    else:
+        two_pass = ad.add(lm, ad.scale(lu, cfg.alpha))
+    one_pass = losses.semicon(zv, idx, mask, cfg)
+    assert float(one_pass.data) == float(two_pass.data)
+    (want,) = ad.grads_for(ad.backward(two_pass), [zv])
+    (got,) = ad.grads_for(ad.backward(one_pass), [zv])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_permutation_equivariance():

@@ -14,6 +14,7 @@ from semicon.stream import (
     make_synthetic,
     split_dataset,
 )
+from semicon.trainers import TrainConfig, expected_steps
 
 
 def toy_dataset(n_classes=4, per_class=6, dim=3, seed=0):
@@ -71,7 +72,7 @@ def test_batch_sizes_and_count():
     stream = split_dataset(data, n_tasks=2, seed=0, batch_size=5)
     sizes = [len(batch) for _, batch in stream.batches()]
     assert sizes == [5, 1, 5, 1]
-    assert stream.n_batches == 4
+    assert expected_steps(TrainConfig("ours", stream_batch=5), stream) == 4
 
 
 def test_5000_steps_arithmetic():
@@ -80,7 +81,7 @@ def test_5000_steps_arithmetic():
         np.zeros((50_000, 1)), np.repeat(np.arange(10), 5_000)
     )
     stream = split_dataset(data, n_tasks=5, seed=0, batch_size=10)
-    assert stream.n_batches == 5_000
+    assert expected_steps(TrainConfig("ours"), stream) == 5_000
 
 
 def test_emission_order_deterministic():
@@ -93,6 +94,30 @@ def test_emission_order_deterministic():
     assert order(a) != order(c)
 
 
+
+
+def test_split_rejects_test_class_absent_from_train():
+    # train classes 0-3; two test rows of class 4 would be dropped silently
+    test = LabeledDataset(np.zeros((6, 3)), [0, 1, 2, 3, 4, 4])
+    with pytest.raises(DataError, match="test class 4 is absent"):
+        split_dataset(toy_dataset(), n_tasks=2, seed=0, test_data=test)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_features(bad):
+    features = np.zeros((5, 2, 3))
+    features[3, 1, 2] = bad
+    features[4, 0, 0] = bad
+    with pytest.raises(DataError, match="row 3 "):
+        LabeledDataset(features, np.zeros(5))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_dataset_accepts_empty_and_huge_finite_features():
+    # a task whose classes have no test row gets an empty test subset
+    assert len(LabeledDataset(np.zeros((0, 2, 3)), [])) == 0
+    # finite values whose sum overflows to inf are still finite
+    assert len(LabeledDataset(np.full((2, 3), 1e308), [0, 1])) == 2
 
 
 def test_test_sets_follow_task_classes():

@@ -45,6 +45,16 @@ def test_config_fills_method_defaults():
     assert off.tau is None and off.mem_size is None
 
 
+def test_loss_config_fills_unified_defaults():
+    ours = TrainConfig(method="ours", alpha=0.3, galpha_on="labeled", tau=0.2)
+    assert ours.loss_config() == losses.LossConfig(
+        tau=0.2, alpha=0.3, galpha_on="labeled")
+    # scr leaves alpha and galpha_on unset; the report keeps them None
+    scr = TrainConfig(method="scr")
+    assert scr.loss_config() == losses.LossConfig(tau=0.07)
+    assert scr.alpha is None and scr.galpha_on is None
+
+
 def test_config_rejects_foreign_fields():
     with pytest.raises(ConfigError, match="alpha does not apply"):
         TrainConfig(method="scr", alpha=0.5)
@@ -138,7 +148,7 @@ def test_step_count_contract(method):
     _, _, rep = run(cfg, stream, MODEL)
     assert rep.steps == expected_steps(cfg, stream)
     if method != "offline":
-        assert rep.steps == stream.n_batches
+        assert rep.steps == sum(1 for _ in stream.batches())
 
 
 def test_ragged_tasks_step_count():
@@ -146,7 +156,7 @@ def test_ragged_tasks_step_count():
     stream = small_stream(seed=7, per_class=15, n_classes=2, batch_size=4)
     cfg = cfg_for("ours", stream_batch=4, seed=0)
     _, _, rep = run(cfg, stream, MODEL)
-    assert rep.steps == 8 == stream.n_batches
+    assert rep.steps == 8 == expected_steps(cfg, stream)
 
 
 def test_budgeted_methods_report_partial_labels():
@@ -226,8 +236,8 @@ def test_scr_mo_batch_is_mem_batch_once_full(monkeypatch):
     cfg = cfg_for("scr-mo", seed=4, mem_size=100, mem_batch=5)
     _, _, rep = run(cfg, stream, MODEL)
     # step 1 trains on nothing (empty memory) and is still counted
-    assert rep.steps == stream.n_batches
-    assert len(sizes) == stream.n_batches - 1
+    assert rep.steps == expected_steps(cfg, stream)
+    assert len(sizes) == rep.steps - 1
     assert sizes[0] == 5  # batch 1 already left 5 items in memory
     assert all(s == 5 for s in sizes)
 
@@ -245,8 +255,9 @@ def test_budgeted_methods_never_touch_stream_labels(monkeypatch):
     for method in ("ours", "scr-mo", "er-mo"):
         run(cfg_for(method, seed=5), stream, MODEL)
     assert calls == []
-    run(cfg_for("scr", seed=5), stream, MODEL)
-    assert len(calls) == stream.n_batches
+    scr = cfg_for("scr", seed=5)
+    run(scr, stream, MODEL)
+    assert len(calls) == expected_steps(scr, stream)
 
 
 # ---------------------------------------------------------------------------
