@@ -8,10 +8,26 @@ cached forward value of every node is available eagerly.
 The tape is rebuilt on every training step and confined to a single
 thread; apart from ``sgd_step`` (which mutates its own parameter arrays
 in place) everything here is a pure function of its inputs.
+
+No vjp closure holds a ``Var``, so a tape is never part of a reference
+cycle: it is freed by reference count the moment its step (or its
+``models.encode`` slice) ends, not by a later cyclic-GC pass. Each node
+records whether it depends on a ``param``; ``backward`` runs no vjp for
+a node that does not, and ``matmul`` and ``mul`` compute no gradient
+for such an operand.
+
+Freeing a whole tape at once empties the top of the heap every step.
+With glibc's default dynamic thresholds, the allocator then returns
+those pages to the OS and the next step faults them back in, which
+costs more than the step's arithmetic on small models. So on import
+this module fixes the process's own glibc allocator thresholds
+(``_keep_heap_warm``); where there is no ``mallopt`` (not glibc) it
+does nothing.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -32,9 +48,11 @@ class _Node:
     op: str
     parents: tuple[int, ...]
     value: Array
-    # maps the gradient at this node to gradients of the parents;
-    # None for leaves
-    vjp: Callable[[Array], tuple[Array, ...]] | None
+    # maps the gradient at this node to gradients of the parents (None
+    # in a slot whose parent needs no gradient); None for leaves
+    vjp: Callable[[Array], tuple[Array | None, ...]] | None
+    # depends on a param; set by Tape._append
+    needs_grad: bool = False
 
 
 class Var:
@@ -54,6 +72,10 @@ class Var:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
+    @property
+    def needs_grad(self) -> bool:
+        return self.tape.nodes[self.idx].needs_grad
+
     def __repr__(self) -> str:
         node = self.tape.nodes[self.idx]
         return f"Var(#{self.idx} {node.op} shape={self.data.shape})"
@@ -70,8 +92,11 @@ class Tape:
         self.nodes: list[_Node] = []
 
     def _append(self, node: _Node) -> Var:
-        self.nodes.append(node)
-        return Var(self, len(self.nodes) - 1)
+        nodes = self.nodes
+        node.needs_grad = node.op == "param" or any(
+            nodes[p].needs_grad for p in node.parents)
+        nodes.append(node)
+        return Var(self, len(nodes) - 1)
 
     def param(self, data) -> Var:
         """Record a trainable leaf."""
@@ -117,9 +142,11 @@ def matmul(a: Var, b: Var) -> Var:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     av, bv = a.data, b.data
     out = av @ bv
+    need_a, need_b = a.needs_grad, b.needs_grad
 
     def vjp(g: Array):
-        return g @ bv.T, av.T @ g
+        return (g @ bv.T if need_a else None,
+                av.T @ g if need_b else None)
 
     return _record("matmul", (a, b), out, vjp)
 
@@ -146,8 +173,11 @@ def mul(a: Var, b: Var) -> Var:
     except ValueError:
         raise ShapeError(f"mul: shapes {ash} and {bsh} do not broadcast") from None
 
+    need_a, need_b = a.needs_grad, b.needs_grad
+
     def vjp(g: Array):
-        return _unbroadcast(g * bv, ash), _unbroadcast(g * av, bsh)
+        return (_unbroadcast(g * bv, ash) if need_a else None,
+                _unbroadcast(g * av, bsh) if need_b else None)
 
     return _record("mul", (a, b), out, vjp)
 
@@ -175,9 +205,10 @@ def relu(a: Var) -> Var:
 def row_sum(a: Var) -> Var:
     _require_2d("row_sum", a)
     out = a.data.sum(axis=1, keepdims=True)
+    shape = a.shape
 
     def vjp(g: Array):
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _record("row_sum", (a,), out, vjp)
 
@@ -310,15 +341,17 @@ def reshape(a: Var, shape: tuple[int, ...]) -> Var:
 
 def total_sum(a: Var) -> Var:
     out = np.asarray(a.data.sum())
+    shape = a.shape
     return _record("total_sum", (a,), out,
-                   lambda g: (np.full(a.shape, float(g)),))
+                   lambda g: (np.full(shape, float(g)),))
 
 
 def mean(a: Var) -> Var:
     n = a.data.size
     out = np.asarray(a.data.mean())
+    shape = a.shape
     return _record("mean", (a,), out,
-                   lambda g: (np.full(a.shape, float(g) / n),))
+                   lambda g: (np.full(shape, float(g) / n),))
 
 
 # ---------------------------------------------------------------------------
@@ -337,18 +370,14 @@ def backward(root: Var) -> dict[int, Array]:
     if root.data.size != 1:
         raise ShapeError(f"backward: root must be scalar, got shape {root.shape}")
     nodes = root.tape.nodes
-    needs = [False] * (root.idx + 1)
-    for i in range(root.idx + 1):
-        node = nodes[i]
-        needs[i] = node.op == "param" or any(needs[p] for p in node.parents)
     grads: dict[int, Array] = {root.idx: np.ones_like(nodes[root.idx].value)}
     for i in range(root.idx, -1, -1):
         g = grads.get(i)
         node = nodes[i]
-        if g is None or node.vjp is None or not needs[i]:
+        if g is None or node.vjp is None or not node.needs_grad:
             continue
         for pid, pg in zip(node.parents, node.vjp(g)):
-            if not needs[pid]:
+            if not nodes[pid].needs_grad:
                 continue
             if pid in grads:
                 grads[pid] = grads[pid] + pg
@@ -432,3 +461,33 @@ def finite_diff_check(f: Callable[[list[Var]], Var],
             err = abs(flat_ad[j] - g_fd) / max(1.0, abs(g_fd))
             worst = max(worst, err)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# allocator
+# ---------------------------------------------------------------------------
+
+_M_TRIM_THRESHOLD = -1  # glibc malloc.h
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_heap_warm() -> None:
+    """Keep freed tape memory in this process's heap for the next step.
+
+    Serves blocks of up to 32 MB (glibc's 64-bit ceiling for this
+    setting) from the heap rather than from fresh mappings, and returns
+    free heap top to the OS only past 1 GB. Both are set because setting
+    either one alone turns off glibc's dynamic thresholds. Does nothing
+    where the C library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt; TypeError on Windows
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
+_keep_heap_warm()

@@ -101,6 +101,10 @@ class TrainConfig:
                 set_default("mem_batch", 100)
             if self.mem_size < 1 or self.mem_batch < 1:
                 raise ConfigError("memory sizes must be >= 1")
+            if self.mem_batch > self.mem_size:
+                raise ConfigError(
+                    f"mem_batch {self.mem_batch} exceeds mem_size {self.mem_size}"
+                )
         else:
             if self.mem_size is not None or self.mem_batch is not None:
                 raise ConfigError(f"{self.method} does not use a memory")

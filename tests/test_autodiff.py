@@ -1,5 +1,8 @@
 """Tape/backward correctness against central finite differences."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -132,6 +135,77 @@ def test_backward_skips_nodes_that_depend_on_no_param():
     _, w_full, full = grads_of(ad.Tape.param)
     assert calls == [(4, 3)]
     assert np.array_equal(pruned[w.idx], full[w_full.idx])
+
+
+def test_matmul_and_mul_skip_the_gradient_of_a_constant_operand():
+    rng = np.random.default_rng(9)
+    xv, wv = rng.normal(size=(4, 3)), rng.normal(size=(3, 2))
+    mv, g = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
+
+    def record(leaf):
+        tape = ad.Tape()
+        x, w, m = leaf(tape, xv), tape.param(wv), leaf(tape, mv)
+        h = ad.matmul(x, w)
+        return tape, w, h, ad.mul(m, h)
+
+    tape, w, h, y = record(ad.Tape.const)
+    assert [v.needs_grad for v in (w, h, y)] == [True, True, True]
+    assert not any(n.needs_grad for n in tape.nodes if n.op == "const")
+    gx, gw = tape.nodes[h.idx].vjp(g)
+    assert gx is None and np.array_equal(gw, xv.T @ g)
+    gm, gh = tape.nodes[y.idx].vjp(g)
+    assert gm is None and np.array_equal(gh, mv * g)
+    # the parameter's gradient is the one computed with every slot live
+    _, w_full, _, y_full = record(ad.Tape.param)
+    pruned = ad.backward(ad.total_sum(y))[w.idx]
+    full = ad.backward(ad.total_sum(y_full))[w_full.idx]
+    assert np.array_equal(pruned, full)
+    assert np.array_equal(pruned, xv.T @ mv)
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("forward", [
+    lambda x: ad.total_sum(ad.row_sum(x)),
+    ad.mean,
+], ids=["total_sum_row_sum", "mean"])
+def test_tape_dies_at_del_without_the_cyclic_gc(no_cyclic_gc, forward):
+    tape = ad.Tape()
+    x = tape.param(np.arange(6.0).reshape(2, 3))
+    root = forward(x)
+    grads = ad.backward(root)
+    alive = weakref.ref(tape)
+    del tape, x, root
+    assert alive() is None
+    assert grads  # gradients outlive their tape
+
+
+def test_heap_setting_sets_both_glibc_thresholds(monkeypatch):
+    calls = []
+
+    class Libc:
+        @staticmethod
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+    monkeypatch.setattr(ad.ctypes, "CDLL", lambda name: Libc())
+    ad._keep_heap_warm()
+    assert sorted(calls) == [(ad._M_MMAP_THRESHOLD, 32 << 20),
+                             (ad._M_TRIM_THRESHOLD, 1 << 30)]
+
+
+def test_heap_setting_is_a_no_op_without_mallopt(monkeypatch):
+    monkeypatch.setattr(ad.ctypes, "CDLL", lambda name: object())
+    assert ad._keep_heap_warm() is None
 
 
 def test_maxpool2d_routes_ties_to_first_maximum():

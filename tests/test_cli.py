@@ -257,7 +257,7 @@ def test_plot_data_builds_alpha_table(tmp_path):
 
 
 def test_plot_data_builds_mem_batch_table(tmp_path):
-    reports = [fake_report("scr", s, f, mem_batch=mb)
+    reports = [fake_report("scr", s, f, mem_batch=mb, mem_size=50)
                for mb, finals in [(10, (0.6, 0.62)), (50, (0.7, 0.72))]
                for s, f in enumerate(finals)]
     write_report_files(tmp_path / "in", reports)

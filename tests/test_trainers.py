@@ -1,5 +1,7 @@
 """Training loops: determinism, budgets, step counts, method contracts."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,15 @@ import reference
 from semicon import autodiff as ad
 from semicon import losses, trainers
 from semicon.errors import ConfigError, NumericError
-from semicon.models import MlpSpec, bind, init_params
+from semicon.models import ConvSpec, MlpSpec, bind, init_params
 from semicon.reports import canonical_json, from_json, to_json
-from semicon.stream import AugmentationSpec, make_multiview, make_synthetic
+from semicon.stream import (
+    AugmentationSpec,
+    LabeledDataset,
+    make_multiview,
+    make_synthetic,
+    split_dataset,
+)
 from semicon.trainers import TrainConfig, expected_steps, run
 
 
@@ -77,6 +85,14 @@ def test_config_validates_numbers():
         TrainConfig(method="ours", stream_batch=0)
     with pytest.raises(ValueError, match="temperature"):
         TrainConfig(method="ours", tau=-1.0)
+
+
+def test_config_rejects_memory_batch_larger_than_memory():
+    with pytest.raises(ConfigError, match=r"mem_batch 31 .* mem_size 30"):
+        TrainConfig(method="ours", mem_size=30, mem_batch=31)
+    with pytest.raises(ConfigError, match=r"mem_batch 100 .* mem_size 50"):
+        TrainConfig(method="er", mem_size=50)
+    assert TrainConfig(method="er", mem_size=30, mem_batch=30).mem_batch == 30
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -394,3 +410,37 @@ def test_er_mo_reports_head_and_ncm_separately():
 def test_ours_reports_no_head_accuracy():
     _, _, rep = run(cfg_for("ours", seed=4), small_stream(seed=25), MODEL)
     assert rep.head_accuracy is None
+
+
+TINY_CONV = ConvSpec(in_shape=(2, 12, 12), channels=(2, 3), out_dim=5)
+
+
+def tiny_image_stream(seed=0):
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(4), 6)
+    train = LabeledDataset(rng.uniform(size=(24, 2, 12, 12)), labels)
+    test = LabeledDataset(rng.uniform(size=(8, 2, 12, 12)), labels[::3])
+    return split_dataset(train, 2, seed, batch_size=5, test_data=test)
+
+
+def _live_tapes() -> int:
+    return sum(isinstance(o, ad.Tape) for o in gc.get_objects())
+
+
+@pytest.mark.parametrize("method,stream,model", [
+    ("ours", small_stream, MODEL),
+    ("ours", tiny_image_stream, TINY_CONV),
+    ("er", small_stream, MODEL),
+], ids=["ours-mlp", "ours-conv", "er-mlp"])
+def test_run_frees_every_tape_without_the_cyclic_gc(method, stream, model):
+    data = stream(seed=26)
+    gc.collect()
+    before = _live_tapes()
+    gc.disable()
+    try:
+        _, _, rep = run(cfg_for(method, seed=5), data, model)
+        after = _live_tapes()
+    finally:
+        gc.enable()
+    assert rep.steps > 0
+    assert after == before
