@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import NumericError, ShapeError
+from .errors import ShapeError
 
 Array = np.ndarray
 
@@ -417,50 +417,6 @@ def sgd_step(params: Sequence[Array], grads: Sequence[Array],
 def grads_for(grad_map: dict[int, Array], vars: Sequence[Var]) -> list[Array]:
     """Pull gradients for specific nodes, zeros where none flowed."""
     return [grad_map.get(v.idx, np.zeros(v.shape)) for v in vars]
-
-
-def finite_diff_check(f: Callable[[list[Var]], Var],
-                      params: Sequence[Array],
-                      step: float = 1e-5) -> float:
-    """Max relative error between reverse-mode and central differences.
-
-    `f` receives the parameters as tape leaves and must return a scalar
-    Var; it is re-evaluated on a fresh tape for every perturbation.
-    Error metric per coordinate: |g_ad - g_fd| / max(1, |g_fd|).
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    params = [as_f64(p).copy() for p in params]
-
-    def evaluate(ps: list[Array]) -> float:
-        tape = Tape()
-        root = f([tape.param(p) for p in ps])
-        val = float(root.data)
-        if not np.isfinite(val):
-            raise NumericError(f"finite_diff_check: f evaluated to {val}")
-        return val
-
-    tape = Tape()
-    pvars = [tape.param(p) for p in params]
-    root = f(pvars)
-    if not np.isfinite(root.data).all():
-        raise NumericError("finite_diff_check: non-finite forward value")
-    analytic = grads_for(backward(root), pvars)
-
-    worst = 0.0
-    for k, p in enumerate(params):
-        flat_ad = analytic[k].ravel()
-        for j in range(p.size):
-            orig = p.flat[j]
-            p.flat[j] = orig + step
-            f_plus = evaluate(params)
-            p.flat[j] = orig - step
-            f_minus = evaluate(params)
-            p.flat[j] = orig
-            g_fd = (f_plus - f_minus) / (2.0 * step)
-            err = abs(flat_ad[j] - g_fd) / max(1.0, abs(g_fd))
-            worst = max(worst, err)
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -45,12 +45,14 @@ class ClassMeans:
 
 
 def class_means(latents: np.ndarray, labels: np.ndarray) -> ClassMeans:
-    """Mean of normalized latents per class, re-normalized."""
-    labels = np.asarray(labels, dtype=np.int64)
+    """Mean of normalized latents per class, re-normalized. A weighted
+    `bincount` per coordinate adds each class's rows in row order, as a
+    per-class `mean(axis=0)` does, without an index the size of `latents`."""
     normed = normalize_rows(np.asarray(latents, dtype=np.float64))
-    ids = np.unique(labels)
-    means = np.stack([normed[labels == c].mean(axis=0) for c in ids])
-    return ClassMeans(ids, normalize_rows(means))
+    ids, inv, counts = np.unique(np.asarray(labels, dtype=np.int64),
+                                 return_inverse=True, return_counts=True)
+    sums = np.column_stack([np.bincount(inv, col, ids.size) for col in normed.T])
+    return ClassMeans(ids, normalize_rows(sums / counts[:, None]))
 
 
 def nearest_mean(means: ClassMeans, latents: np.ndarray) -> np.ndarray:
@@ -64,11 +66,11 @@ def nearest_mean(means: ClassMeans, latents: np.ndarray) -> np.ndarray:
 
 def fit_ncm(enc: Encoder, memory: MemoryBuffer) -> ClassMeans:
     """Class means over encoder latents of everything stored in memory."""
-    if not memory.items:
+    if not memory.size:
         raise DataError("cannot fit NCM on an empty memory")
-    feats = np.stack([it.sample.features for it in memory.items])
-    labels = np.array([it.label for it in memory.items], dtype=np.int64)
-    return class_means(encode(enc, feats), labels)
+    ids = memory.ids[:memory.size]
+    return class_means(encode(enc, memory.features[ids]),
+                       memory.labels[:memory.size])
 
 
 def predict(means: ClassMeans, enc: Encoder, xs: np.ndarray) -> np.ndarray:
@@ -107,13 +109,10 @@ def evaluate(
     they stay in the denominator and the class is reported back.
     """
     means = fit_ncm(enc, memory)
-    row = []
-    missing: set[int] = set()
-    for ts in test_sets:
-        preds = predict(means, enc, ts.features)
-        row.append(float(np.mean(preds == ts.labels)))
-        missing |= set(np.setdiff1d(ts.labels, means.class_ids).tolist())
-    return row, sorted(missing)
+    row = [float(np.mean(predict(means, enc, ts.features) == ts.labels))
+           for ts in test_sets]
+    tested = np.concatenate([ts.labels for ts in test_sets] or [np.zeros(0, int)])
+    return row, np.setdiff1d(tested, means.class_ids).tolist()
 
 
 def head_accuracy(

@@ -9,13 +9,10 @@ M * (1 + H_N - H_M), which for M << N is about M * (1 + ln(N / M)).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .stream import Sample
 
 
 @dataclass(frozen=True)
@@ -29,70 +26,124 @@ class Oracle:
             self, "labels", np.asarray(self.labels, dtype=np.int64)
         )
 
-    def label(self, source_id: int) -> int:
-        return int(self.labels[source_id])
+    def label(self, source_ids):
+        """The label of one source id, or the labels of an array of ids."""
+        return self.labels[source_ids]
+
+
+@dataclass(frozen=True, eq=False)
+class Sample:
+    """A stored stream element, as `MemoryBuffer.items` shows it."""
+
+    features: np.ndarray | None
+    source_id: int
 
 
 @dataclass(frozen=True)
 class MemoryItem:
-    sample: "Sample"
+    sample: Sample
     label: int
 
 
-@dataclass
+@dataclass(eq=False)
 class MemoryBuffer:
-    """Fixed-capacity reservoir over the stream seen so far."""
+    """Fixed-capacity reservoir over the stream seen so far.
+
+    Slots 0..size-1 of `ids` and `labels` hold the stored source ids and
+    their oracle labels. `features` holds the stream's rows by source id,
+    so a stored sample's row is `features[ids[i]]` and nothing is copied.
+    """
 
     capacity: int
-    items: list[MemoryItem] = field(default_factory=list)
+    features: np.ndarray | None = field(default=None, repr=False)
     seen: int = 0
     oracle_calls: int = 0
+    size: int = field(default=0, init=False)
+    ids: np.ndarray = field(init=False, repr=False)
+    labels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {self.capacity}")
+        self.ids = np.zeros(self.capacity, dtype=np.int64)
+        self.labels = np.zeros(self.capacity, dtype=np.int64)
+
+    @property
+    def items(self) -> "_Items":
+        """The stored slots as (sample, label) records, built on access."""
+        return _Items(self)
 
 
-def reservoir_update(
-    buf: MemoryBuffer, sample: "Sample", oracle: Oracle, rng: np.random.Generator
-) -> MemoryBuffer:
-    """Offer one stream sample to the buffer (Algorithm R).
+@dataclass(frozen=True)
+class _Items(Sequence):
+    """Records of a buffer's stored slots; assigning one stores its id and label."""
 
-    The first M offers are stored outright; offer n > M replaces a
-    uniform slot with probability M/n. Every store costs one oracle call.
-    """
-    if buf.seen < buf.capacity:
-        buf.items.append(MemoryItem(sample, oracle.label(sample.source_id)))
-        buf.oracle_calls += 1
-    else:
-        j = int(rng.integers(0, buf.seen + 1))
-        if j < buf.capacity:
-            buf.items[j] = MemoryItem(sample, oracle.label(sample.source_id))
-            buf.oracle_calls += 1
-    buf.seen += 1
-    return buf
+    buf: MemoryBuffer
+
+    def __len__(self) -> int:
+        return self.buf.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        sid, rows = int(self.buf.ids[:len(self)][i]), self.buf.features
+        return MemoryItem(Sample(None if rows is None else rows[sid], sid),
+                          int(self.buf.labels[:len(self)][i]))
+
+    def __setitem__(self, i: int, item: MemoryItem) -> None:
+        self.buf.ids[:len(self)][i] = item.sample.source_id
+        self.buf.labels[:len(self)][i] = item.label
 
 
 def reservoir_update_batch(
     buf: MemoryBuffer, batch, oracle: Oracle, rng: np.random.Generator
 ) -> MemoryBuffer:
-    for sample in batch:
-        reservoir_update(buf, sample, oracle, rng)
+    """Offer a batch of stream source ids to the buffer (Algorithm R).
+
+    The first M offers are stored outright; offer t > M replaces a
+    uniform slot with probability M/t. Slots are drawn in offer order by
+    one `integers` call, which moves the generator exactly as one draw
+    per offer would. Every store costs one oracle call; of two stores
+    into one slot the later offer stays.
+    """
+    batch = np.asarray(batch, dtype=np.int64)
+    m, seen, n = buf.capacity, buf.seen, len(batch)
+    fill = min(max(m - seen, 0), n)
+    slots = np.arange(seen, seen + fill)
+    if fill < n:
+        draws = rng.integers(0, np.arange(seen + fill, seen + n) + 1)
+        slots = np.concatenate([slots, draws])
+    hit = slots < m
+    slots, stored = slots[hit], batch[hit]
+    labels = oracle.label(stored)
+    order = slots.argsort(kind="stable")  # offer order within each slot
+    ranked = slots[order]
+    last = order[ranked != np.concatenate([ranked[1:], [-1]])]
+    buf.ids[slots[last]], buf.labels[slots[last]] = stored[last], labels[last]
+    buf.size = min(m, seen + n)
+    buf.seen += n
+    buf.oracle_calls += len(stored)
     return buf
+
+
+def reservoir_update(
+    buf: MemoryBuffer, source_id: int, oracle: Oracle, rng: np.random.Generator
+) -> MemoryBuffer:
+    """Offer one stream source id: a batch of one."""
+    return reservoir_update_batch(buf, [source_id], oracle, rng)
 
 
 def retrieve(
     buf: MemoryBuffer, k: int, rng: np.random.Generator
-) -> list[MemoryItem]:
-    """Uniform sample without replacement of min(k, stored) items."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, labels) of min(k, stored) slots, uniform without replacement."""
     if k < 0:
         raise ValueError(f"batch size must be >= 0, got {k}")
-    stored = len(buf.items)
-    take = min(k, stored)
+    take = min(k, buf.size)
     if take == 0:
-        return []
-    chosen = rng.choice(stored, size=take, replace=False)
-    return [buf.items[i] for i in chosen]
+        return buf.ids[:0], buf.labels[:0]
+    chosen = rng.choice(buf.size, size=take, replace=False)
+    return buf.ids[chosen], buf.labels[chosen]
 
 
 def expected_oracle_calls(capacity: int, stream_length: int) -> float:

@@ -9,7 +9,7 @@ any label a consumer obtains is an explicit, countable act.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -19,14 +19,6 @@ from .memory import Oracle
 
 CIFAR_PIXELS = 3072
 CIFAR_SHAPE = (3, 32, 32)
-
-
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """One stream element; its label is reachable only through the oracle."""
-
-    features: np.ndarray
-    source_id: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,21 +88,12 @@ class TaskStream:
     def n_samples(self) -> int:
         return sum(len(t) for t in self.tasks)
 
-    def _task_batches(self, task: Task) -> Iterator[list[Sample]]:
-        feats = self.data.features
-        for start in range(0, len(task), self.batch_size):
-            ids = task.sample_ids[start:start + self.batch_size]
-            yield [Sample(feats[i], int(i)) for i in ids]
-
-    def iter_tasks(self) -> Iterator[tuple[Task, Iterator[list[Sample]]]]:
+    def iter_tasks(self) -> Iterator[tuple[Task, Iterator[np.ndarray]]]:
+        """Each task with its batches: arrays of source ids, no labels."""
+        size = self.batch_size
         for task in self.tasks:
-            yield task, self._task_batches(task)
-
-    def batches(self) -> Iterator[tuple[int, list[Sample]]]:
-        """Flat single-pass view: (task index, batch) pairs."""
-        for task, gen in self.iter_tasks():
-            for batch in gen:
-                yield task.index, batch
+            ids = task.sample_ids
+            yield task, (ids[i:i + size] for i in range(0, len(ids), size))
 
 
 def split_dataset(
@@ -235,23 +218,22 @@ def augment(x: np.ndarray, spec: AugmentationSpec,
 
 
 def make_multiview(
-    batch: Sequence[tuple[Sample, int | None]],
+    features: np.ndarray,
+    labels: np.ndarray,
     spec: AugmentationSpec,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, MultiviewIndex]:
     """Two independent views per source, stacked [first views; second views].
 
-    `batch` pairs each sample with its label if one is known (memory
-    items) or None (stream items); view i pairs with view (i+b) mod 2b.
+    Row i of `features` has label `labels[i]` if one is known (memory
+    items) or -1 (stream items); view i pairs with view (i+b) mod 2b.
     """
-    if not batch:
+    if not len(features):
         raise DataError("cannot build a multiview batch from no sources")
-    feats = np.stack([np.asarray(s.features, dtype=np.float64)
-                      for s, _ in batch])
+    feats = np.asarray(features, dtype=np.float64)
     views = np.concatenate([augment(feats, spec, rng),
                             augment(feats, spec, rng)])
-    idx = MultiviewIndex.from_sources([lab for _, lab in batch])
-    return views, idx
+    return views, MultiviewIndex.from_sources(np.asarray(labels, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .models import (
     init_params,
 )
 from .reports import RunReport
-from .stream import AugmentationSpec, Sample, TaskStream, make_multiview
+from .stream import AugmentationSpec, TaskStream, make_multiview
 
 METHODS = ("ours", "scr", "scr-mo", "er", "er-mo", "finetune", "offline")
 CONTRASTIVE_METHODS = ("ours", "scr", "scr-mo")
@@ -251,9 +251,9 @@ def _ce_forward(enc: Encoder, feats: np.ndarray, labels: np.ndarray):
     return forward
 
 
-def _stream_labels(stream: TaskStream, batch: list[Sample]) -> list[int]:
+def _stream_labels(stream: TaskStream, ids: np.ndarray) -> np.ndarray:
     """Direct label lookup for the supervised baselines (uncharged)."""
-    return [stream.oracle.label(s.source_id) for s in batch]
+    return stream.oracle.label(ids)
 
 
 def _train_replay(cfg: TrainConfig, stream: TaskStream,
@@ -268,7 +268,7 @@ def _train_replay(cfg: TrainConfig, stream: TaskStream,
     scored by NCM over memory after each task.
     """
     harness = _Harness(cfg, stream)
-    memory = MemoryBuffer(cfg.mem_size)
+    memory = MemoryBuffer(cfg.mem_size, stream.data.features)
     rngs = _spawn_rngs(cfg.seed)
     enc, proj = init_params(_init_seed(rngs), model)
     contrastive = cfg.method in CONTRASTIVE_METHODS
@@ -282,26 +282,23 @@ def _train_replay(cfg: TrainConfig, stream: TaskStream,
 
     for task, batches in stream.iter_tasks():
         for b_s in batches:
-            b_m = retrieve(memory, cfg.mem_batch, rngs["retrieval"])
-            samples = [it.sample for it in b_m]
-            labels: list[int | None] = [it.label for it in b_m]
+            ids, labels = retrieve(memory, cfg.mem_batch, rngs["retrieval"])
             if cfg.method == "ours":
-                samples += b_s
-                labels += [None] * len(b_s)
+                ids = np.concatenate([ids, b_s])
+                labels = np.concatenate([labels, np.full(len(b_s), -1)])
             elif cfg.method in SUPERVISED_METHODS:
-                samples += b_s
-                labels += _stream_labels(stream, b_s)
-            if not samples:
+                ids = np.concatenate([ids, b_s])
+                labels = np.concatenate([labels, _stream_labels(stream, b_s)])
+            if not len(ids):
                 harness.skip_step()
             elif contrastive:
-                views, idx = make_multiview(list(zip(samples, labels)), aug,
+                views, idx = make_multiview(stream.data.features[ids], labels, aug,
                                             rngs["augment"])
                 harness.step(params, _contrastive_forward(
                     enc, proj, views, idx, loss_cfg), task.index)
             else:
-                feats = np.stack([s.features for s in samples])
-                harness.step(params, _ce_forward(enc, feats, np.array(labels)),
-                             task.index)
+                harness.step(params, _ce_forward(enc, stream.data.features[ids],
+                                                 labels), task.index)
             reservoir_update_batch(memory, b_s, stream.oracle, rngs["reservoir"])
         row, harness.missing = evaluate(enc, memory, stream.test_sets)
         harness.matrix.add_row(row)
@@ -333,22 +330,21 @@ def _train_head_only(cfg: TrainConfig, stream: TaskStream,
         harness.matrix.add_row(head_accuracy(
             enc, params["head/w"], params["head/b"][0], stream.test_sets))
 
+    def train_on(ids, task):
+        harness.step(params, _ce_forward(enc, stream.data.features[ids],
+                                         _stream_labels(stream, ids)), task)
+
     if cfg.method == "finetune":
         for task, batches in stream.iter_tasks():
             for b_s in batches:
-                feats = np.stack([s.features for s in b_s])
-                labels = np.array(_stream_labels(stream, b_s))
-                harness.step(params, _ce_forward(enc, feats, labels), task.index)
+                train_on(b_s, task.index)
             score()
     else:
-        feats = stream.data.features
-        labels = stream.oracle.labels
+        n = len(stream.data)
         for _ in range(cfg.epochs):
-            order = rngs["shuffle"].permutation(len(labels))
-            for start in range(0, len(labels), cfg.stream_batch):
-                take = order[start:start + cfg.stream_batch]
-                harness.step(params, _ce_forward(enc, feats[take], labels[take]),
-                             None)
+            order = rngs["shuffle"].permutation(n)
+            for start in range(0, n, cfg.stream_batch):
+                train_on(order[start:start + cfg.stream_batch], None)
         score()
 
     report = harness.report(oracle_calls=stream.n_samples,

@@ -1,8 +1,9 @@
 """Reference implementations used as test oracles.
 
 Everything here but the conv encoder follows the defining formulas term
-by term, with plain Python loops and none of the vectorized or
-stabilized structure of the library code. Deliberately slow; use tiny
+by term, with plain Python loops (or one mask per class, one draw per
+reservoir offer) and none of the vectorized or stabilized structure of
+the library code. Deliberately slow; use tiny
 inputs. The conv encoder builds every convolution and pool from flat
 index `gather`s and `row_max`, so its backward is an `np.add.at` scatter.
 """
@@ -12,6 +13,7 @@ import math
 import numpy as np
 
 from semicon import autodiff as ad
+from semicon.errors import NumericError
 
 
 def contrastive_anchor(z, i, positives, tau):
@@ -84,6 +86,41 @@ def nearest_mean(x, means):
     return best
 
 
+def class_means_loop(latents, labels):
+    """(class ids, normalized mean of normalized latents) by a boolean mask
+    and `mean(axis=0)` per class; zero rows stay zero."""
+    labels = np.asarray(labels)
+    norms = np.linalg.norm(latents, axis=1, keepdims=True)
+    normed = latents / np.where(norms == 0.0, 1.0, norms)
+    ids = np.unique(labels)
+    means = np.stack([normed[labels == c].mean(axis=0) for c in ids])
+    norms = np.linalg.norm(means, axis=1, keepdims=True)
+    return ids, means / np.where(norms == 0.0, 1.0, norms)
+
+
+def reservoir_scalar(capacity, ids, labels, seen, offers, oracle_labels, rng):
+    """Algorithm R one offer at a time: (ids, labels, seen, stores).
+
+    `ids` and `labels` list the stored slots in slot order; an offer at
+    stream position t < capacity is appended, a later one draws a slot
+    uniformly from 0..t and replaces it when the slot is < capacity.
+    """
+    ids, labels, stores = list(ids), list(labels), 0
+    for source in offers:
+        if seen < capacity:
+            ids.append(int(source))
+            labels.append(int(oracle_labels[source]))
+            stores += 1
+        else:
+            j = int(rng.integers(0, seen + 1))
+            if j < capacity:
+                ids[j] = int(source)
+                labels[j] = int(oracle_labels[source])
+                stores += 1
+        seen += 1
+    return ids, labels, seen, stores
+
+
 def conv_patch_indices(n, h, w, c, k):
     """Flat NHWC indices shaped (n*oh*ow, k*k*c) for valid k x k windows."""
     oh, ow = h - k + 1, w - k + 1
@@ -135,3 +172,45 @@ def conv_encoder_gather(spec, bound, x):
         in_c = out_c
     flat = ad.reshape(act, (n, h * w * in_c))
     return ad.add(ad.matmul(flat, bound["enc/dense_w"]), bound["enc/dense_b"])
+
+
+def finite_diff_check(f, params, step=1e-5):
+    """Max relative error between reverse-mode and central differences.
+
+    `f` receives the parameters as tape leaves and must return a scalar
+    Var; it is re-evaluated on a fresh tape for every perturbation.
+    Error metric per coordinate: |g_ad - g_fd| / max(1, |g_fd|).
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    params = [ad.as_f64(p).copy() for p in params]
+
+    def evaluate(ps):
+        tape = ad.Tape()
+        root = f([tape.param(p) for p in ps])
+        val = float(root.data)
+        if not np.isfinite(val):
+            raise NumericError(f"finite_diff_check: f evaluated to {val}")
+        return val
+
+    tape = ad.Tape()
+    pvars = [tape.param(p) for p in params]
+    root = f(pvars)
+    if not np.isfinite(root.data).all():
+        raise NumericError("finite_diff_check: non-finite forward value")
+    analytic = ad.grads_for(ad.backward(root), pvars)
+
+    worst = 0.0
+    for k, p in enumerate(params):
+        flat_ad = analytic[k].ravel()
+        for j in range(p.size):
+            orig = p.flat[j]
+            p.flat[j] = orig + step
+            f_plus = evaluate(params)
+            p.flat[j] = orig - step
+            f_minus = evaluate(params)
+            p.flat[j] = orig
+            g_fd = (f_plus - f_minus) / (2.0 * step)
+            err = abs(flat_ad[j] - g_fd) / max(1.0, abs(g_fd))
+            worst = max(worst, err)
+    return worst

@@ -16,7 +16,8 @@ from semicon import autodiff as ad
 from semicon import losses
 from semicon.errors import DataError
 from semicon.losses import LossConfig, MultiviewIndex, build_masks, semicon
-from semicon.memory import MemoryBuffer, Oracle, reservoir_update, simulate_oracle_calls
+from semicon.memory import (MemoryBuffer, Oracle, reservoir_update_batch,
+                            simulate_oracle_calls)
 from semicon.models import MlpSpec, bind, init_params
 from semicon.reports import canonical_json
 from semicon.stream import load_cifar_binary, make_synthetic
@@ -133,7 +134,7 @@ def test_3_gradients_match_finite_differences():
 
         # stiff composition: shrink the step so truncation error, which
         # falls off quadratically, sits well under the tolerance
-        err = ad.finite_diff_check(f, [values[n] for n in names], step=1e-7)
+        err = reference.finite_diff_check(f, [values[n] for n in names], step=1e-7)
         worst = max(worst, err)
     for _ in range(8):
         z_raw, idx = random_batch(rng, max_sources=3, max_dim=5)
@@ -145,7 +146,7 @@ def test_3_gradients_match_finite_differences():
             return losses.semicon(ad.l2_normalize_rows(pvars[0]), idx,
                                   mask, cfg)
 
-        worst = max(worst, ad.finite_diff_check(g, [z_raw], step=1e-7))
+        worst = max(worst, reference.finite_diff_check(g, [z_raw], step=1e-7))
     elapsed = time.perf_counter() - started
     verdict(3, "gradients match finite differences",
             worst < 1e-6 and elapsed < 60,
@@ -175,18 +176,13 @@ def test_5_reservoir_uniformity():
     m, n, trials = 10, 100, 10_000
     rng = np.random.default_rng(0)
     oracle = Oracle(np.zeros(n, dtype=np.int64))
-
-    class Probe:
-        def __init__(self, source_id):
-            self.source_id = source_id
+    stream = np.arange(n)
 
     counts = np.zeros(n)
     for _ in range(trials):
         buf = MemoryBuffer(capacity=m)
-        for i in range(n):
-            reservoir_update(buf, Probe(i), oracle, rng)
-        for item in buf.items:
-            counts[item.sample.source_id] += 1
+        reservoir_update_batch(buf, stream, oracle, rng)
+        counts[buf.ids[:buf.size]] += 1
     chi2, p = stats.chisquare(counts, f_exp=np.full(n, trials * m / n))
     verdict(5, "reservoir inclusion is uniform", p > 0.01,
             f"chi-square {chi2:.1f} over {n} cells, p={p:.3f} (>0.01), "

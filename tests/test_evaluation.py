@@ -16,18 +16,17 @@ from semicon.evaluation import (
     normalize_rows,
     predict,
 )
-from semicon.memory import MemoryBuffer, MemoryItem
+from semicon.memory import MemoryBuffer, Oracle, reservoir_update_batch
 from semicon.models import MlpSpec, encode, init_params
-from semicon.stream import LabeledDataset, Sample
+from semicon.stream import LabeledDataset
 
 
 def make_memory(feats, labels):
-    buf = MemoryBuffer(capacity=len(feats))
-    for i, (x, y) in enumerate(zip(feats, labels)):
-        buf.items.append(MemoryItem(Sample(np.asarray(x, float), i), int(y)))
-        buf.seen += 1
-        buf.oracle_calls += 1
-    return buf
+    """A memory that stored every row of `feats`, in order."""
+    feats = np.asarray(feats, float)
+    buf = MemoryBuffer(capacity=len(feats), features=feats)
+    return reservoir_update_batch(buf, np.arange(len(feats)), Oracle(labels),
+                                  np.random.default_rng(0))
 
 
 def make_encoder(in_dim, out_dim=6, seed=0):
@@ -63,6 +62,29 @@ def test_class_means_match_scalar_loop():
         want = np.mean(rows, axis=0)
         want = want / np.linalg.norm(want)
         assert np.allclose(cm.means[k], want, atol=1e-12)
+
+
+@pytest.mark.parametrize("labels", [
+    [2, 0, 1, 0, 2, 1, 1, 0, 2, 0, 1, 2],  # interleaved
+    [5, 3, 9, 3, 3, 7, 3, 3, 3, 3, 3, 1],  # one-row classes
+    [0] * 12,
+])
+def test_class_means_equal_the_per_class_loop_bitwise(labels):
+    rng = np.random.default_rng(len(set(labels)))
+    latents = rng.normal(size=(12, 5))
+    latents[[1, 4, 6]] = 0.0  # zero latent rows pass through normalization
+    cm = class_means(latents, labels)
+    ids, means = reference.class_means_loop(latents, labels)
+    assert np.array_equal(cm.class_ids, ids)
+    assert np.array_equal(cm.means, means)
+
+
+def test_class_means_equal_the_per_class_loop_on_memory_scale():
+    rng = np.random.default_rng(3)
+    latents = rng.normal(size=(2000, 64))
+    labels = rng.integers(0, 100, size=2000)
+    _, means = reference.class_means_loop(latents, labels)
+    assert np.array_equal(class_means(latents, labels).means, means)
 
 
 def test_class_means_requires_classes():

@@ -400,4 +400,4 @@ def test_semicon_gradient_matches_finite_differences():
     def f(params):
         return losses.semicon(ad.l2_normalize_rows(params[0]), idx, mask, cfg)
 
-    assert ad.finite_diff_check(f, [raw], step=1e-5) < 1e-6
+    assert reference.finite_diff_check(f, [raw], step=1e-5) < 1e-6

@@ -1,13 +1,12 @@
 """Reservoir buffer: Algorithm R law, oracle accounting, retrieval."""
 
-from dataclasses import dataclass
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import reference
 from semicon.memory import (
     MemoryBuffer,
     Oracle,
@@ -19,14 +18,9 @@ from semicon.memory import (
 )
 
 
-@dataclass(frozen=True)
-class FakeSample:
-    source_id: int
-    features: np.ndarray = None
-
-
 def make_stream(n):
-    return [FakeSample(i) for i in range(n)]
+    """A stream batch: source ids only."""
+    return np.arange(n)
 
 
 def ids_oracle(n, mod=10):
@@ -34,15 +28,15 @@ def ids_oracle(n, mod=10):
 
 
 class CountingOracle(Oracle):
-    """Oracle that tallies its own label calls."""
+    """Oracle that tallies every label it hands out."""
 
     def __init__(self, labels):
         super().__init__(labels)
         object.__setattr__(self, "calls", [0])
 
-    def label(self, source_id):
-        self.calls[0] += 1
-        return super().label(source_id)
+    def label(self, source_ids):
+        self.calls[0] += np.size(source_ids)
+        return super().label(source_ids)
 
 
 def fill(capacity, n, seed=0, oracle=None):
@@ -57,17 +51,21 @@ def fill(capacity, n, seed=0, oracle=None):
 # basic accounting
 # ---------------------------------------------------------------------------
 
+def stored(buf):
+    return buf.ids[:buf.size]
+
+
 def test_short_stream_stores_everything():
     buf = fill(capacity=50, n=20)
-    assert len(buf.items) == 20
+    assert buf.size == 20
     assert buf.seen == 20
     assert buf.oracle_calls == 20
-    assert [it.sample.source_id for it in buf.items] == list(range(20))
+    assert stored(buf).tolist() == list(range(20))
 
 
 def test_items_carry_oracle_labels():
     buf = fill(capacity=10, n=8)
-    assert [it.label for it in buf.items] == [i % 10 for i in range(8)]
+    assert buf.labels[:buf.size].tolist() == [i % 10 for i in range(8)]
 
 
 def test_capacity_validation():
@@ -77,7 +75,7 @@ def test_capacity_validation():
 
 def test_size_clamps_at_capacity():
     buf = fill(capacity=10, n=500)
-    assert len(buf.items) == 10
+    assert buf.size == 10
     assert buf.seen == 500
     assert 10 <= buf.oracle_calls <= 500
 
@@ -90,7 +88,7 @@ def test_size_invariant_along_any_prefix(capacity, n, seed):
     rng = np.random.default_rng(seed)
     for t, sample in enumerate(make_stream(n), start=1):
         reservoir_update(buf, sample, oracle, rng)
-        assert len(buf.items) == min(t, capacity)
+        assert buf.size == min(t, capacity)
         assert buf.seen == t
 
 
@@ -98,20 +96,95 @@ def test_oracle_charged_once_per_insertion():
     oracle = CountingOracle(np.arange(1000) % 7)
     buf = fill(capacity=20, n=1000, seed=3, oracle=oracle)
     assert oracle.calls[0] == buf.oracle_calls
-    assert buf.oracle_calls >= len(buf.items)
+    assert buf.oracle_calls >= buf.size
 
 
 def test_determinism_same_seed_same_trajectory():
     a = fill(capacity=15, n=400, seed=11)
     b = fill(capacity=15, n=400, seed=11)
-    assert [it.sample.source_id for it in a.items] == [
-        it.sample.source_id for it in b.items
-    ]
+    assert np.array_equal(stored(a), stored(b))
     assert a.oracle_calls == b.oracle_calls
     c = fill(capacity=15, n=400, seed=12)
-    assert [it.sample.source_id for it in a.items] != [
-        it.sample.source_id for it in c.items
-    ]
+    assert not np.array_equal(stored(a), stored(c))
+
+
+# ---------------------------------------------------------------------------
+# the batch path against one draw per offer
+# ---------------------------------------------------------------------------
+
+def assert_matches_scalar(buf, ref, seen, calls):
+    ids, labels, ref_seen, _ = ref
+    assert stored(buf).tolist() == ids
+    assert buf.labels[:buf.size].tolist() == labels
+    assert buf.seen == ref_seen == seen
+    assert buf.oracle_calls == calls
+
+
+@pytest.mark.parametrize("capacity,n,seed", [(20, 300, 0), (7, 120, 1), (50, 60, 2)])
+def test_batch_update_equals_scalar_algorithm_r(capacity, n, seed):
+    labels = np.arange(n) % 9
+    oracle = Oracle(labels)
+    sizes = np.random.default_rng(100 + seed).integers(1, 26, size=n)
+    sizes[:2] = capacity - 3, 7  # the second batch fills the buffer and draws
+    buf, rng = MemoryBuffer(capacity), np.random.default_rng(seed)
+    ref_rng = np.random.default_rng(seed)
+    ref, calls, start = ([], [], 0, 0), 0, 0
+    straddled = False
+    for size in sizes:
+        batch = np.arange(start, min(start + size, n))
+        if not batch.size:
+            break
+        straddled |= buf.seen < capacity < buf.seen + batch.size
+        reservoir_update_batch(buf, batch, oracle, rng)
+        ref = reference.reservoir_scalar(capacity, ref[0], ref[1], ref[2],
+                                         batch, labels, ref_rng)
+        calls += ref[3]
+        assert_matches_scalar(buf, ref, batch[-1] + 1, calls)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        start += size
+    assert straddled
+
+
+class Draws:
+    """Generator stand-in that hands out prescribed slot draws in order."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def integers(self, low, high):
+        n = np.size(high)
+        out, self.draws = self.draws[:n], self.draws[n:]
+        assert all(0 <= d < h for d, h in zip(out, np.atleast_1d(high)))
+        return np.array(out, dtype=np.int64) if np.ndim(high) else out[0]
+
+
+def test_two_stores_into_one_slot_keep_the_later_offer():
+    # capacity 3: offers 0-1 fill slots 0-1; in the next batch offer 2
+    # fills slot 2, then offers 3..6 draw 2 (slot 2 again), 4 (no store),
+    # 1 and 1 (slot 1 twice)
+    draws = [2, 4, 1, 1]
+    oracle = CountingOracle(np.arange(10) * 10)
+    buf = MemoryBuffer(3)
+    reservoir_update_batch(buf, [0, 1], oracle, Draws([]))
+    reservoir_update_batch(buf, [2, 3, 4, 5, 6], oracle, Draws(draws))
+    ref = reference.reservoir_scalar(3, [], [], 0, range(7), oracle.labels,
+                                     Draws(draws))
+    assert ref[0] == [0, 6, 3]
+    assert_matches_scalar(buf, ref, 7, 6)
+    assert oracle.calls[0] == buf.oracle_calls == ref[3]
+
+
+def test_single_offer_wrapper_is_a_batch_of_one():
+    oracle = ids_oracle(200)
+    a, b = MemoryBuffer(12), MemoryBuffer(12)
+    rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+    for i in range(200):
+        reservoir_update(a, i, oracle, rng_a)
+    reservoir_update_batch(b, np.arange(200), oracle, rng_b)
+    assert np.array_equal(stored(a), stored(b))
+    assert np.array_equal(a.labels, b.labels)
+    assert a.oracle_calls == b.oracle_calls
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +200,7 @@ def test_final_inclusion_is_uniform():
     for _ in range(trials):
         buf = MemoryBuffer(capacity)
         reservoir_update_batch(buf, stream, oracle, rng)
-        for it in buf.items:
-            counts[it.sample.source_id] += 1
+        counts[stored(buf)] += 1
     p = capacity / n
     bound = 3 * np.sqrt(p * (1 - p) / trials)
     freqs = counts / trials
@@ -145,8 +217,8 @@ def test_retrieval_is_uniform():
     trials = 3000
     counts = np.zeros(200)
     for _ in range(trials):
-        for it in retrieve(buf, 100, rng):
-            counts[it.sample.source_id] += 1
+        ids, _ = retrieve(buf, 100, rng)
+        counts[ids] += 1
     freqs = counts / trials
     bound = 3 * np.sqrt(0.5 * 0.5 / trials)
     assert np.all(np.abs(freqs - 0.5) < bound)
@@ -158,14 +230,16 @@ def test_retrieval_is_uniform():
 
 def test_retrieve_clamps_to_stored():
     buf = fill(capacity=10, n=5)
-    got = retrieve(buf, 100, np.random.default_rng(0))
-    assert sorted(it.sample.source_id for it in got) == list(range(5))
+    ids, labels = retrieve(buf, 100, np.random.default_rng(0))
+    assert sorted(ids.tolist()) == list(range(5))
+    assert np.array_equal(labels, ids % 10)
 
 
 def test_retrieve_zero_and_empty():
     buf = fill(capacity=10, n=5)
-    assert retrieve(buf, 0, np.random.default_rng(0)) == []
-    assert retrieve(MemoryBuffer(10), 4, np.random.default_rng(0)) == []
+    for got in (retrieve(buf, 0, np.random.default_rng(0)),
+                retrieve(MemoryBuffer(10), 4, np.random.default_rng(0))):
+        assert [len(a) for a in got] == [0, 0]
     with pytest.raises(ValueError):
         retrieve(buf, -1, np.random.default_rng(0))
 
@@ -173,9 +247,8 @@ def test_retrieve_zero_and_empty():
 def test_retrieve_without_replacement():
     buf = fill(capacity=50, n=50)
     for trial in range(20):
-        got = retrieve(buf, 30, np.random.default_rng(trial))
-        ids = [it.sample.source_id for it in got]
-        assert len(ids) == len(set(ids)) == 30
+        ids, _ = retrieve(buf, 30, np.random.default_rng(trial))
+        assert len(ids) == len(set(ids.tolist())) == 30
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ def test_conv_encoder_gradients():
         z = proj.apply(bound, enc.apply(bound, tape.const(prepared)))
         return ad.mean(ad.gram(z))
 
-    assert ad.finite_diff_check(f, values) < 1e-6
+    assert reference.finite_diff_check(f, values) < 1e-6
 
 
 def _encoder_and_head_grads(enc, proj, prepared, forward):

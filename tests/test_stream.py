@@ -7,7 +7,6 @@ from semicon.errors import ConfigError, DataError
 from semicon.stream import (
     AugmentationSpec,
     LabeledDataset,
-    Sample,
     augment,
     load_cifar_binary,
     make_multiview,
@@ -44,24 +43,41 @@ def test_split_rejects_non_divisible():
         split_dataset(toy_dataset(n_classes=5), n_tasks=2, seed=0)
 
 
+def flat_batches(stream):
+    """(task index, batch) pairs in emission order."""
+    return [(task.index, batch) for task, batches in stream.iter_tasks()
+            for batch in batches]
+
+
+def emitted_ids(stream):
+    return [int(i) for _, batch in flat_batches(stream) for i in batch]
+
+
 def test_task_class_purity():
     data = toy_dataset()
     stream = split_dataset(data, n_tasks=2, seed=1, batch_size=4)
-    for k, batch in stream.batches():
-        hidden = {stream.oracle.label(s.source_id) for s in batch}
+    for k, batch in flat_batches(stream):
+        hidden = set(stream.oracle.label(batch).tolist())
         assert hidden <= set(stream.tasks[k].class_ids)
 
 
 def test_stream_samples_carry_no_labels():
-    stream = split_dataset(toy_dataset(), n_tasks=2, seed=0)
-    assert not any(hasattr(s, "label") for _, batch in stream.batches()
-                   for s in batch)
+    # a batch is a plain integer array of source ids: it has no room for
+    # a label, and its ids are not the labels in disguise
+    data = toy_dataset()
+    stream = split_dataset(data, n_tasks=2, seed=0)
+    batches = [batch for _, batch in flat_batches(stream)]
+    for batch in batches:
+        assert type(batch) is np.ndarray
+        assert batch.dtype == np.int64 and batch.ndim == 1
+    ids = np.concatenate(batches)
+    assert not np.array_equal(ids, data.labels[ids])
 
 
 def test_single_pass_emits_each_sample_once():
     data = toy_dataset()
     stream = split_dataset(data, n_tasks=2, seed=3, batch_size=5)
-    emitted = [s.source_id for _, batch in stream.batches() for s in batch]
+    emitted = emitted_ids(stream)
     assert sorted(emitted) == list(range(len(data)))
     assert len(emitted) == stream.n_samples
 
@@ -70,7 +86,7 @@ def test_batch_sizes_and_count():
     # 12 samples per task, batch 5 -> 5, 5, 2 per task
     data = toy_dataset(n_classes=2, per_class=6)
     stream = split_dataset(data, n_tasks=2, seed=0, batch_size=5)
-    sizes = [len(batch) for _, batch in stream.batches()]
+    sizes = [len(batch) for _, batch in flat_batches(stream)]
     assert sizes == [5, 1, 5, 1]
     assert expected_steps(TrainConfig("ours", stream_batch=5), stream) == 4
 
@@ -88,10 +104,9 @@ def test_emission_order_deterministic():
     data = toy_dataset()
     a = split_dataset(data, n_tasks=2, seed=7, batch_size=3)
     b = split_dataset(data, n_tasks=2, seed=7, batch_size=3)
-    order = lambda s: [x.source_id for _, batch in s.batches() for x in batch]
-    assert order(a) == order(b)
+    assert emitted_ids(a) == emitted_ids(b)
     c = split_dataset(data, n_tasks=2, seed=8, batch_size=3)
-    assert order(a) != order(c)
+    assert emitted_ids(a) != emitted_ids(c)
 
 
 
@@ -180,9 +195,9 @@ def test_augmentation_spec_validation():
 
 
 def test_multiview_layout():
-    batch = [(Sample(np.full(3, float(i)), i), lab)
-             for i, lab in enumerate([4, None, 4])]
-    views, idx = make_multiview(batch, AugmentationSpec(kind="identity"),
+    feats = np.repeat(np.arange(3.0)[:, None], 3, axis=1)
+    views, idx = make_multiview(feats, np.array([4, -1, 4]),
+                                AugmentationSpec(kind="identity"),
                                 np.random.default_rng(0))
     assert views.shape == (6, 3)
     assert np.array_equal(idx.pair, [3, 4, 5, 0, 1, 2])
@@ -193,16 +208,17 @@ def test_multiview_layout():
 
 
 def test_multiview_deterministic_given_seed():
-    batch = [(Sample(np.arange(4.0), 0), None), (Sample(np.ones(4), 1), 2)]
+    feats, labels = np.stack([np.arange(4.0), np.ones(4)]), np.array([-1, 2])
     spec = AugmentationSpec(kind="vector")
-    v1, _ = make_multiview(batch, spec, np.random.default_rng(9))
-    v2, _ = make_multiview(batch, spec, np.random.default_rng(9))
+    v1, _ = make_multiview(feats, labels, spec, np.random.default_rng(9))
+    v2, _ = make_multiview(feats, labels, spec, np.random.default_rng(9))
     assert np.array_equal(v1, v2)
 
 
 def test_multiview_empty_batch_rejected():
     with pytest.raises(DataError, match="no sources"):
-        make_multiview([], AugmentationSpec(), np.random.default_rng(0))
+        make_multiview(np.zeros((0, 3)), np.zeros(0, dtype=np.int64),
+                       AugmentationSpec(), np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +302,7 @@ def test_synthetic_deterministic():
     a = make_synthetic(4, 5, 3.0, 10, 2, seed=1)
     b = make_synthetic(4, 5, 3.0, 10, 2, seed=1)
     assert np.array_equal(a.data.features, b.data.features)
-    order = lambda s: [x.source_id for _, batch in s.batches() for x in batch]
-    assert order(a) == order(b)
+    assert emitted_ids(a) == emitted_ids(b)
 
 
 def test_synthetic_separation_zero_mixes_classes():

@@ -1,5 +1,6 @@
 """Training loops: determinism, budgets, step counts, method contracts."""
 
+import dataclasses
 import gc
 
 import numpy as np
@@ -9,6 +10,7 @@ import reference
 from semicon import autodiff as ad
 from semicon import losses, trainers
 from semicon.errors import ConfigError, NumericError
+from semicon.memory import Oracle
 from semicon.models import ConvSpec, MlpSpec, bind, init_params
 from semicon.reports import canonical_json, from_json, to_json
 from semicon.stream import (
@@ -164,7 +166,8 @@ def test_step_count_contract(method):
     _, _, rep = run(cfg, stream, MODEL)
     assert rep.steps == expected_steps(cfg, stream)
     if method != "offline":
-        assert rep.steps == sum(1 for _ in stream.batches())
+        assert rep.steps == sum(1 for _, batches in stream.iter_tasks()
+                                for _ in batches)
 
 
 def test_ragged_tasks_step_count():
@@ -197,7 +200,7 @@ def test_full_memory_means_full_label_budget():
     stream = small_stream(seed=10)  # N = 80
     cfg = cfg_for("ours", seed=2, mem_size=200, mem_batch=8)
     _, mem, rep = run(cfg, stream, MODEL)
-    assert len(mem.items) == stream.n_samples
+    assert mem.size == stream.n_samples
     assert rep.label_fraction == 1.0
 
 
@@ -205,7 +208,7 @@ def test_er_with_huge_memory_holds_everything():
     stream = small_stream(seed=11)
     cfg = cfg_for("er-mo", seed=2, mem_size=500, mem_batch=8)
     _, mem, rep = run(cfg, stream, MODEL)
-    assert len(mem.items) == stream.n_samples
+    assert mem.size == stream.n_samples
     assert rep.label_fraction == 1.0
 
 
@@ -223,11 +226,11 @@ def test_memory_update_follows_the_sgd_step(monkeypatch):
 
     def spy_retrieve(buf, k, rng):
         got = real_retrieve(buf, k, rng)
-        retrieved.append({it.sample.source_id for it in got})
+        retrieved.append(set(got[0].tolist()))
         return got
 
     def spy_update(buf, batch, oracle, rng):
-        offered.append({s.source_id for s in batch})
+        offered.append(set(batch.tolist()))
         return real_update(buf, batch, oracle, rng)
 
     monkeypatch.setattr(trainers, "retrieve", spy_retrieve)
@@ -244,9 +247,9 @@ def test_scr_mo_batch_is_mem_batch_once_full(monkeypatch):
     sizes = []
     real = trainers.make_multiview
 
-    def spy(batch, spec, rng):
-        sizes.append(len(batch))
-        return real(batch, spec, rng)
+    def spy(feats, labels, spec, rng):
+        sizes.append(len(labels))
+        return real(feats, labels, spec, rng)
 
     monkeypatch.setattr(trainers, "make_multiview", spy)
     cfg = cfg_for("scr-mo", seed=4, mem_size=100, mem_batch=5)
@@ -276,13 +279,39 @@ def test_budgeted_methods_never_touch_stream_labels(monkeypatch):
     assert len(calls) == expected_steps(scr, stream)
 
 
+class CountingOracle(Oracle):
+    """Oracle that tallies every label it hands out."""
+
+    def __init__(self, labels):
+        super().__init__(labels)
+        object.__setattr__(self, "calls", [0])
+
+    def label(self, source_ids):
+        self.calls[0] += np.size(source_ids)
+        return super().label(source_ids)
+
+
+@pytest.mark.parametrize("method", ["ours", "scr-mo", "er-mo"])
+def test_budgeted_memory_labels_come_from_oracle_stores(method):
+    # every label a budgeted run holds was bought by one oracle call per
+    # store, and the memory holds exactly the true labels of its ids
+    base = small_stream(seed=14, per_class=25)
+    stream = dataclasses.replace(base, oracle=CountingOracle(base.oracle.labels))
+    _, mem, rep = run(cfg_for(method, seed=5, mem_size=10, mem_batch=5),
+                      stream, MODEL)
+    assert stream.oracle.calls[0] == mem.oracle_calls == rep.oracle_calls
+    assert mem.oracle_calls < stream.n_samples
+    ids = mem.ids[:mem.size]
+    assert np.array_equal(mem.labels[:mem.size], base.oracle.labels[ids])
+
+
 # ---------------------------------------------------------------------------
 # step-0 loss oracles
 # ---------------------------------------------------------------------------
 
 def replay_first_batch(stream):
-    first = next(stream.batches())[1]
-    return first
+    _, batches = next(stream.iter_tasks())
+    return next(batches)
 
 
 def test_er_step0_loss_matches_ce_oracle():
@@ -294,8 +323,8 @@ def test_er_step0_loss_matches_ce_oracle():
     enc, _ = init_params(trainers._init_seed(rngs), MODEL)
     head = trainers._head_init(rngs, enc.out_dim, 4)
     batch = replay_first_batch(small_stream(seed=15))
-    feats = np.stack([s.features for s in batch])
-    labels = [stream.oracle.label(s.source_id) for s in batch]
+    feats = stream.data.features[batch]
+    labels = stream.oracle.label(batch)
     latents = feats  # recompute through the same forward
     tape = ad.Tape()
     bound = bind(tape, {**enc.params, **head})
@@ -315,10 +344,9 @@ def test_scr_step0_loss_matches_semicon_on_all_labeled_batch():
     rngs = trainers._spawn_rngs(cfg.seed)
     enc, proj = init_params(trainers._init_seed(rngs), MODEL)
     batch = replay_first_batch(small_stream(seed=16))
-    labels = [stream.oracle.label(s.source_id) for s in batch]
     views, idx = make_multiview(
-        list(zip(batch, labels)), AugmentationSpec(kind="vector"),
-        rngs["augment"],
+        stream.data.features[batch], stream.oracle.label(batch),
+        AugmentationSpec(kind="vector"), rngs["augment"],
     )
     tape = ad.Tape()
     bound = bind(tape, {**enc.params, **proj.params})
