@@ -386,17 +386,8 @@ def backward(root: Var) -> dict[int, Array]:
     return grads
 
 
-@dataclass(frozen=True)
-class SgdConfig:
-    learning_rate: float = 0.1
-
-    def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-
-
 def sgd_step(params: Sequence[Array], grads: Sequence[Array],
-             cfg: SgdConfig) -> Sequence[Array]:
+             learning_rate: float) -> Sequence[Array]:
     """Vanilla steepest descent: p <- p - lr * g, in place.
 
     No momentum, no weight decay.
@@ -410,7 +401,7 @@ def sgd_step(params: Sequence[Array], grads: Sequence[Array],
             raise ShapeError(
                 f"sgd_step: param shape {p.shape} vs grad shape {g.shape}"
             )
-        p -= cfg.learning_rate * g
+        p -= learning_rate * g
     return params
 
 

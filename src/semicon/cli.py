@@ -14,6 +14,7 @@ import csv
 import glob
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -84,10 +85,10 @@ DEFAULTS = {
 
 # n_tasks defaults per dataset: 2 synthetic, 5 cifar10, 20 cifar100
 
-# TrainConfig fields that are forwarded only when the user set them, so
-# that per-method defaults and applicability checks stay in one place
-_OPTIONAL_TRAIN_KEYS = ("alpha", "tau", "galpha_on", "mem_size", "mem_batch",
-                        "epochs", "loss_trace")
+# config keys that `run` also takes as flags (mem_size as --mem-size);
+# a flag overrides the config file
+RUN_FLAGS = ("method", "dataset", "alpha", "tau", "galpha_on", "mem_size",
+             "mem_batch", "stream_batch", "lr", "epochs", "seed", "reps", "out")
 
 
 def parse_config_file(path: str) -> dict:
@@ -121,12 +122,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS)
     if args.config is not None:
         cfg.update(parse_config_file(args.config))
-    for flag in ("method", "dataset", "alpha", "tau", "mem_size", "mem_batch",
-                 "stream_batch", "lr", "seed", "reps", "out", "galpha_on",
-                 "epochs"):
-        value = getattr(args, flag)
+    for key in RUN_FLAGS:
+        value = getattr(args, key)
         if value is not None:
-            cfg[flag] = value
+            cfg[key] = value
     if cfg["dataset"] not in DATASETS:
         raise ConfigError(f"unknown dataset {cfg['dataset']!r}, "
                           f"expected one of {', '.join(DATASETS)}")
@@ -139,13 +138,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 def _train_config(cfg: dict, *, seed: int, axis: str | None = None,
                   value=None) -> TrainConfig:
-    kw = {"method": cfg["method"], "stream_batch": cfg["stream_batch"],
-          "seed": seed}
-    if "lr" in cfg:
-        kw["learning_rate"] = cfg["lr"]
-    for key in _OPTIONAL_TRAIN_KEYS:
-        if key in cfg:
-            kw[key] = cfg[key]
+    """Forward the set config keys that name a TrainConfig field (lr is
+    learning_rate); TrainConfig fills per-method defaults and checks."""
+    named = {("learning_rate" if k == "lr" else k): v for k, v in cfg.items()}
+    kw = {f.name: named[f.name] for f in fields(TrainConfig) if f.name in named}
+    kw["seed"] = seed
     if axis is not None:
         kw[axis] = value
     return TrainConfig(**kw)
@@ -382,20 +379,9 @@ def _build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="train one config, or a sweep")
     runp.add_argument("config", nargs="?", default=None,
                       help="key = value config file")
-    runp.add_argument("--method")
-    runp.add_argument("--dataset")
-    runp.add_argument("--alpha", type=float)
-    runp.add_argument("--tau", type=float)
-    runp.add_argument("--mem-size", dest="mem_size", type=int)
-    runp.add_argument("--mem-batch", dest="mem_batch", type=int)
-    runp.add_argument("--stream-batch", dest="stream_batch", type=int)
-    runp.add_argument("--lr", type=float)
-    runp.add_argument("--seed", type=int)
-    runp.add_argument("--reps", type=int)
-    runp.add_argument("--out")
-    runp.add_argument("--galpha-on", dest="galpha_on",
-                      choices=("labeled", "unlabeled"))
-    runp.add_argument("--epochs", type=int)
+    for key in RUN_FLAGS:
+        runp.add_argument("--" + key.replace("_", "-"), dest=key,
+                          type=SCHEMA[key])
 
     plot = sub.add_parser("plot-data", help="tabulate a reports directory")
     plot.add_argument("reports_dir")

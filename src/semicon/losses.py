@@ -36,26 +36,22 @@ REDUCTIONS = ("sum", "mean")
 class MultiviewIndex:
     """View bookkeeping for a 2b multiview batch.
 
-    labeled: bool flag per view; labels: class id per view (-1 when
-    unlabeled); pair: index of the other view of the same source.
+    labels: class id per view (-1 when unlabeled); pair: index of the
+    other view of the same source.
     """
 
-    labeled: np.ndarray
     labels: np.ndarray
     pair: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "labeled", np.asarray(self.labeled, dtype=bool))
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
         object.__setattr__(self, "pair", np.asarray(self.pair, dtype=np.int64))
-        n = self.labeled.shape[0]
+        n = self.labels.size
         if n % 2 or self.labels.shape != (n,) or self.pair.shape != (n,):
             raise ValueError("multiview index arrays must share an even length")
         i = np.arange(n)
         if np.any(self.pair == i) or np.any(self.pair[self.pair] != i):
             raise ValueError("pair map must be an involution without fixed points")
-        if np.any(self.labeled != self.labeled[self.pair]):
-            raise ValueError("paired views must share label status")
         if np.any(self.labels != self.labels[self.pair]):
             raise ValueError("paired views must share the label value")
 
@@ -70,19 +66,15 @@ class MultiviewIndex:
         )
         labels = np.concatenate([per_source, per_source])
         pair = (np.arange(2 * b) + b) % (2 * b)
-        return cls(labels >= 0, labels, pair)
+        return cls(labels, pair)
+
+    @property
+    def labeled(self) -> np.ndarray:
+        return self.labels >= 0
 
     @property
     def n_views(self) -> int:
-        return self.labeled.shape[0]
-
-    @property
-    def anchors_labeled(self) -> np.ndarray:
-        return np.where(self.labeled)[0]
-
-    @property
-    def anchors_unlabeled(self) -> np.ndarray:
-        return np.where(~self.labeled)[0]
+        return self.labels.shape[0]
 
     @property
     def b_l(self) -> int:
@@ -109,14 +101,12 @@ class PositiveMask:
 
 def build_masks(idx: MultiviewIndex) -> PositiveMask:
     """Positives: same-class views for labeled anchors, the paired view otherwise."""
-    if np.any(idx.labeled & (idx.labels < 0)):
-        raise ValueError("labeled view is missing a label")
     n = idx.n_views
     pos = np.zeros((n, n), dtype=bool)
-    lab = idx.anchors_labeled
+    lab = np.flatnonzero(idx.labeled)
     if lab.size:
         pos[np.ix_(lab, lab)] = idx.labels[lab, None] == idx.labels[None, lab]
-    unl = idx.anchors_unlabeled
+    unl = np.flatnonzero(~idx.labeled)
     pos[unl, idx.pair[unl]] = True
     np.fill_diagonal(pos, False)
     return PositiveMask(pos)

@@ -66,7 +66,6 @@ class TaskStream:
     tasks: tuple[Task, ...]
     data: LabeledDataset
     batch_size: int
-    seed: int
     oracle: Oracle
     test_sets: tuple[LabeledDataset, ...] = ()
 
@@ -140,7 +139,6 @@ def split_dataset(
         tasks=tuple(tasks),
         data=data,
         batch_size=batch_size,
-        seed=seed,
         oracle=Oracle(data.labels),
         test_sets=tuple(test_sets),
     )

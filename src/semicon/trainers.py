@@ -51,9 +51,21 @@ MEMORY_METHODS = ("ours", "scr", "scr-mo", "er", "er-mo")
 SUPERVISED_METHODS = ("scr", "er", "finetune", "offline")
 
 
+# optional field -> (methods it applies to, default there); the field
+# stays None on every other method, and setting it there is an error
+_APPLIES = {
+    "alpha": (("ours",), 1.0),
+    "galpha_on": (("ours",), "unlabeled"),
+    "tau": (CONTRASTIVE_METHODS, 0.07),
+    "mem_size": (MEMORY_METHODS, 200),
+    "mem_batch": (MEMORY_METHODS, 100),
+    "epochs": (("offline",), 50),
+}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Method choice plus hyperparameters; method-specific fields are
+    """Method choice plus hyperparameters; the fields in `_APPLIES` are
     filled with their defaults when left None and rejected when set on a
     method they do not apply to."""
 
@@ -75,48 +87,22 @@ class TrainConfig:
             raise ConfigError(
                 f"unknown method {self.method!r}; expected one of {METHODS}"
             )
-        set_default = lambda name, value: object.__setattr__(self, name, value)
-
-        if self.method == "ours":
-            if self.alpha is None:
-                set_default("alpha", 1.0)
-            if self.galpha_on is None:
-                set_default("galpha_on", "unlabeled")
-        else:
-            if self.alpha is not None:
-                raise ConfigError(f"alpha does not apply to {self.method}")
-            if self.galpha_on is not None:
-                raise ConfigError(f"galpha_on does not apply to {self.method}")
-
-        if self.method in CONTRASTIVE_METHODS:
-            if self.tau is None:
-                set_default("tau", 0.07)
-        elif self.tau is not None:
-            raise ConfigError(f"tau does not apply to {self.method}")
+        for name, (methods, default) in _APPLIES.items():
+            if self.method in methods:
+                if getattr(self, name) is None:
+                    object.__setattr__(self, name, default)
+            elif getattr(self, name) is not None:
+                raise ConfigError(f"{name} does not apply to {self.method}")
 
         if self.method in MEMORY_METHODS:
-            if self.mem_size is None:
-                set_default("mem_size", 200)
-            if self.mem_batch is None:
-                set_default("mem_batch", 100)
             if self.mem_size < 1 or self.mem_batch < 1:
                 raise ConfigError("memory sizes must be >= 1")
             if self.mem_batch > self.mem_size:
                 raise ConfigError(
                     f"mem_batch {self.mem_batch} exceeds mem_size {self.mem_size}"
                 )
-        else:
-            if self.mem_size is not None or self.mem_batch is not None:
-                raise ConfigError(f"{self.method} does not use a memory")
-
-        if self.method == "offline":
-            if self.epochs is None:
-                set_default("epochs", 50)
-            if self.epochs < 1:
-                raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        elif self.epochs is not None:
-            raise ConfigError(f"epochs only applies to offline, got {self.method}")
-
+        if self.method == "offline" and self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.stream_batch < 1:
             raise ConfigError(f"stream batch must be >= 1, got {self.stream_batch}")
         if not self.learning_rate > 0:
@@ -126,10 +112,14 @@ class TrainConfig:
             self.loss_config()
 
     def loss_config(self) -> losses.LossConfig:
-        """Contrastive loss settings; unset alpha and galpha_on take defaults."""
-        alpha = 1.0 if self.alpha is None else self.alpha
-        return losses.LossConfig(tau=self.tau, alpha=alpha,
-                                 galpha_on=self.galpha_on or "unlabeled")
+        """Contrastive loss settings; `LossConfig` fills what is unset and
+        owns the checks, whose failures surface as `ConfigError`."""
+        given = {name: getattr(self, name) for name in ("tau", "alpha", "galpha_on")
+                 if getattr(self, name) is not None}
+        try:
+            return losses.LossConfig(**given)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
 
 
 def _spawn_rngs(seed: int) -> dict[str, np.random.Generator]:
@@ -160,7 +150,6 @@ class _Harness:
         self.started = time.perf_counter()
         self.cfg = cfg
         self.stream = stream
-        self.sgd = ad.SgdConfig(learning_rate=cfg.learning_rate)
         self.matrix = AccuracyMatrix()
         self.steps = 0
         self.trace: list[float] = []
@@ -185,7 +174,8 @@ class _Harness:
                 f"({where}); the run diverged"
             )
         grads = ad.grads_for(ad.backward(loss), [bound[n] for n in sorted(params)])
-        ad.sgd_step([params[n] for n in sorted(params)], grads, self.sgd)
+        ad.sgd_step([params[n] for n in sorted(params)], grads,
+                    self.cfg.learning_rate)
         return self._count(value)
 
     def _count(self, loss: float) -> float:

@@ -386,37 +386,30 @@ def test_primitive_gradients_match_finite_differences(name):
 
 def test_sgd_zero_gradient_is_noop():
     p = [np.array([1.0])]
-    ad.sgd_step(p, [np.array([0.0])], ad.SgdConfig(0.1))
+    ad.sgd_step(p, [np.array([0.0])], 0.1)
     assert np.array_equal(p[0], [1.0])
 
 
 def test_sgd_single_step():
     p = [np.array([1.0])]
-    ad.sgd_step(p, [np.array([1.0])], ad.SgdConfig(0.1))
+    ad.sgd_step(p, [np.array([1.0])], 0.1)
     assert np.allclose(p[0], [0.9])
 
 
 def test_sgd_hand_case():
     p = [np.array([2.0, -2.0])]
-    ad.sgd_step(p, [np.array([10.0, -10.0])], ad.SgdConfig(0.1))
+    ad.sgd_step(p, [np.array([10.0, -10.0])], 0.1)
     assert np.allclose(p[0], [1.0, -1.0])
 
 
 def test_sgd_mutates_in_place_and_validates():
     p = np.zeros(3)
-    out = ad.sgd_step([p], [np.ones(3)], ad.SgdConfig(0.5))
+    out = ad.sgd_step([p], [np.ones(3)], 0.5)
     assert out[0] is p
     with pytest.raises(ShapeError):
-        ad.sgd_step([np.zeros(3)], [np.zeros(4)], ad.SgdConfig(0.1))
+        ad.sgd_step([np.zeros(3)], [np.zeros(4)], 0.1)
     with pytest.raises(ShapeError):
-        ad.sgd_step([np.zeros(3)], [], ad.SgdConfig(0.1))
-
-
-def test_sgd_config_rejects_bad_lr():
-    with pytest.raises(ValueError):
-        ad.SgdConfig(0.0)
-    with pytest.raises(ValueError):
-        ad.SgdConfig(-1.0)
+        ad.sgd_step([np.zeros(3)], [], 0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """What the benchmark in perfbench/ reads of the program stays defined.
 
 The benchmark's tracer swaps functions looked up as `vars(owner)[attr]`,
-and its output checks read memory records through `MemoryBuffer.items`.
-A refactor that drops either would otherwise fail only the benchmark's
-own tests.
+its output checks read memory records through `MemoryBuffer.items`, and
+its loss check reads the labels and pair map of a `MultiviewIndex` and
+the settings of a `LossConfig`. A refactor that drops any of these would
+otherwise fail only the benchmark's own tests.
 """
 
 import importlib.util
@@ -12,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semicon import trainers
-from semicon.models import MlpSpec
-from semicon.stream import make_synthetic
+from semicon import autodiff as ad
+from semicon import losses, trainers
+from semicon.models import MlpSpec, bind, init_params
+from semicon.stream import AugmentationSpec, make_multiview, make_synthetic
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -66,3 +68,21 @@ def test_benchmark_memory_check_passes_and_sees_a_replaced_record(run_memory):
     finally:
         memory.items[0] = item
     assert checks.check_memory(memory, *truth, 25) == []
+
+
+def test_benchmark_loss_check_passes_on_a_captured_step():
+    rng = np.random.default_rng(4)
+    labels = np.array([0, 2, 0, -1, 1, -1])
+    views, idx = make_multiview(rng.normal(size=(6, 5)), labels,
+                                AugmentationSpec(kind="vector"), rng)
+    enc, proj = init_params(5, MlpSpec(in_dim=5, hidden=(8,)))
+    cfg = trainers.TrainConfig("ours", alpha=0.4).loss_config()
+    tape = ad.Tape()
+    bound = bind(tape, {**enc.params, **proj.params})
+    z = proj.apply(bound, enc.apply(bound, tape.const(enc.prepare(views))))
+    args = (z, idx, losses.build_masks(idx), cfg)
+    got = float(losses.semicon(*args).data)
+    captured = [a.data if isinstance(a, ad.Var) else a for a in args]
+    checks = load("checks")
+    assert checks.check_unified_loss(captured, got) == []
+    assert checks.check_unified_loss(captured, got + 1e-3)

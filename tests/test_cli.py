@@ -161,6 +161,17 @@ def test_alpha_on_wrong_method_is_config_error(capsys):
     assert "alpha does not apply" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", ["--tau=-1", "--alpha=-0.5",
+                                     "--galpha-on=both", "galpha_on = both"])
+def test_bad_loss_setting_is_config_error(tmp_path, capsys, monkeypatch,
+                                          setting):
+    monkeypatch.chdir(tmp_path)
+    if not setting.startswith("--"):
+        setting = write_cfg(tmp_path, setting + "\n")
+    assert cli.main(["run", "--method", "ours", setting]) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_unknown_flag_is_config_error(capsys):
     assert cli.main(["run", "--per-class", "10"]) == 1
     assert "config error" in capsys.readouterr().err

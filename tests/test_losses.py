@@ -49,16 +49,12 @@ def test_from_sources_layout():
 
 def test_index_rejects_bad_pair_map():
     with pytest.raises(ValueError, match="involution"):
-        MultiviewIndex(
-            labeled=[True, True],
-            labels=[0, 0],
-            pair=[0, 1],  # fixed points
-        )
+        MultiviewIndex(labels=[0, 0], pair=[0, 1])  # fixed points
 
 
 def test_index_rejects_mismatched_pair_labels():
     with pytest.raises(ValueError, match="label"):
-        MultiviewIndex(labeled=[True, True], labels=[0, 1], pair=[1, 0])
+        MultiviewIndex(labels=[0, 1], pair=[1, 0])
 
 
 def test_mask_single_labeled_source():
@@ -85,13 +81,7 @@ def test_mask_mixed_batch_hand_enumerated():
 def test_mask_unlabeled_never_positive_for_labeled():
     z, idx = random_batch(0, b_l=3, b_u=3)
     pos = build_masks(idx).positives
-    assert not np.any(pos[np.ix_(idx.anchors_labeled, idx.anchors_unlabeled)])
-
-
-def test_build_masks_missing_label():
-    idx = MultiviewIndex(labeled=[True, True], labels=[-1, -1], pair=[1, 0])
-    with pytest.raises(ValueError, match="missing a label"):
-        build_masks(idx)
+    assert not np.any(pos[np.ix_(idx.labeled, ~idx.labeled)])
 
 
 def test_positive_mask_invariants_enforced():
@@ -240,7 +230,7 @@ def test_alpha_zero_keeps_unlabeled_negatives():
     # computed on the labeled views alone
     z, idx = random_batch(52, b_l=3, b_u=3)
     mixed = losses.semicon(z, idx, build_masks(idx), LossConfig(alpha=0.0))
-    lab = idx.anchors_labeled
+    lab = idx.labeled
     labeled_only = reference.supcon(z[lab], idx.labels[lab], 0.07)
     assert mixed == pytest.approx(
         reference.loss_mem(z, idx.labeled, idx.labels, 0.07), rel=1e-10)
@@ -346,7 +336,6 @@ def test_permutation_equivariance():
         perm = rng.permutation(idx.n_views)
         inv = np.argsort(perm)
         shuffled = MultiviewIndex(
-            labeled=idx.labeled[perm],
             labels=idx.labels[perm],
             pair=inv[idx.pair[perm]],
         )

@@ -70,10 +70,12 @@ def test_config_rejects_foreign_fields():
         TrainConfig(method="scr", alpha=0.5)
     with pytest.raises(ConfigError, match="tau does not apply"):
         TrainConfig(method="er", tau=0.07)
-    with pytest.raises(ConfigError, match="epochs only applies"):
+    with pytest.raises(ConfigError, match="epochs does not apply to ours"):
         TrainConfig(method="ours", epochs=3)
-    with pytest.raises(ConfigError, match="does not use a memory"):
+    with pytest.raises(ConfigError, match="mem_size does not apply to finetune"):
         TrainConfig(method="finetune", mem_size=100)
+    with pytest.raises(ConfigError, match="mem_batch does not apply to finetune"):
+        TrainConfig(method="finetune", mem_batch=10)
     with pytest.raises(ConfigError, match="galpha_on does not apply"):
         TrainConfig(method="er-mo", galpha_on="labeled")
     with pytest.raises(ConfigError, match="unknown method"):
