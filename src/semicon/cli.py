@@ -129,6 +129,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if cfg["dataset"] not in DATASETS:
         raise ConfigError(f"unknown dataset {cfg['dataset']!r}, "
                           f"expected one of {', '.join(DATASETS)}")
+    if cfg["dataset"] != "synthetic":
+        for key in ("data_path", "test_path"):
+            if key not in cfg:
+                raise ConfigError(f"dataset {cfg['dataset']} needs {key}")
     if cfg["reps"] < 1:
         raise ConfigError(f"reps must be positive, got {cfg['reps']}")
     if "sweep_alpha" in cfg and "sweep_mem_batch" in cfg:
@@ -153,8 +157,6 @@ def _load_cifar_stream(cfg: dict, seed: int):
     default_tasks = 5 if cfg["dataset"] == "cifar10" else 20
     n_tasks = cfg.get("n_tasks", default_tasks)
     for key in ("data_path", "test_path"):
-        if key not in cfg:
-            raise ConfigError(f"dataset {cfg['dataset']} needs {key}")
         if not os.path.exists(cfg[key]):
             raise DataError(f"dataset file not found: {cfg[key]}")
     train = load_cifar_binary(cfg["data_path"], label_bytes=label_bytes)
@@ -205,16 +207,17 @@ def _std(values: list[float]) -> float:
 
 def cmd_run(args: argparse.Namespace) -> None:
     cfg = _merge_config(args)
+    points = _sweep_points(cfg)
+    # every config is checked before anything is written
+    train_cfgs = [[_train_config(cfg, seed=cfg["seed"] + rep, axis=axis, value=value)
+                   for rep in range(cfg["reps"])] for axis, value in points]
     out_dir = cfg["out"]
     os.makedirs(out_dir, exist_ok=True)
-    points = _sweep_points(cfg)
     aggregate = []
-    for axis, value in points:
+    for (axis, value), point_cfgs in zip(points, train_cfgs):
         reports = []
-        for rep in range(cfg["reps"]):
-            seed = cfg["seed"] + rep
-            train_cfg = _train_config(cfg, seed=seed, axis=axis, value=value)
-            stream, model = _build_stream(cfg, seed)
+        for rep, train_cfg in enumerate(point_cfgs):
+            stream, model = _build_stream(cfg, train_cfg.seed)
             encoder, _, report = run_method(train_cfg, stream, model)
             _check_finite(encoder)
             name = _run_name(cfg["method"], axis, value, rep)

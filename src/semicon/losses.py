@@ -76,31 +76,14 @@ class MultiviewIndex:
     def n_views(self) -> int:
         return self.labels.shape[0]
 
-    @property
-    def b_l(self) -> int:
-        return int(self.labeled.sum()) // 2
 
-    @property
-    def b_u(self) -> int:
-        return int((~self.labeled).sum()) // 2
+def build_masks(idx: MultiviewIndex) -> np.ndarray:
+    """(n, n) bool: [i, j] when view j is a positive for anchor i.
 
-
-@dataclass(frozen=True)
-class PositiveMask:
-    """positives[i, j] is True when view j is a positive for anchor i."""
-
-    positives: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "positives", np.asarray(self.positives, dtype=bool))
-        if np.any(np.diag(self.positives)):
-            raise ValueError("an anchor cannot be its own positive")
-        if np.any(self.positives.sum(axis=1) < 1):
-            raise ValueError("every anchor needs at least one positive")
-
-
-def build_masks(idx: MultiviewIndex) -> PositiveMask:
-    """Positives: same-class views for labeled anchors, the paired view otherwise."""
+    Same-class views for labeled anchors, the paired view otherwise; no
+    anchor is its own positive, and every anchor has its pair (which
+    shares its label) as one.
+    """
     n = idx.n_views
     pos = np.zeros((n, n), dtype=bool)
     lab = np.flatnonzero(idx.labeled)
@@ -109,7 +92,7 @@ def build_masks(idx: MultiviewIndex) -> PositiveMask:
     unl = np.flatnonzero(~idx.labeled)
     pos[unl, idx.pair[unl]] = True
     np.fill_diagonal(pos, False)
-    return PositiveMask(pos)
+    return pos
 
 
 @dataclass(frozen=True)
@@ -132,7 +115,7 @@ class LossConfig:
 
 def _per_anchor_losses(z: Var, positives: np.ndarray, tau: float) -> Var:
     """Column of -mean_{p in P(i)} log softmax(z_i.z_p / tau), shape (n, 1);
-    every row needs a positive, as a `PositiveMask` ensures."""
+    every row of `positives` needs a positive, as `build_masks` ensures."""
     n = z.shape[0]
     tape = z.tape
     logits = ad.scale(ad.gram(z), 1.0 / tau)
@@ -150,10 +133,10 @@ def _per_anchor_losses(z: Var, positives: np.ndarray, tau: float) -> Var:
     return ad.scale(ad.row_sum(ad.mul(log_prob, tape.const(weights))), -1.0)
 
 
-def _terms(z: Var, idx: MultiviewIndex, mask: PositiveMask,
+def _terms(z: Var, idx: MultiviewIndex, mask: np.ndarray,
            cfg: LossConfig) -> tuple[Var, Var]:
     """(L_m, L_u): group sums of one per-anchor column; an empty group is 0."""
-    per_anchor = _per_anchor_losses(z, mask.positives, cfg.tau)
+    per_anchor = _per_anchor_losses(z, mask, cfg.tau)
     terms = []
     for group in (idx.labeled, ~idx.labeled):
         count = int(group.sum())
@@ -182,7 +165,7 @@ def _dispatch(fn):
 
 
 @_dispatch
-def loss_mem(z, idx: MultiviewIndex, mask: PositiveMask, cfg: LossConfig):
+def loss_mem(z, idx: MultiviewIndex, mask: np.ndarray, cfg: LossConfig):
     """Supervised contrastive term L_m over labeled anchors, full-batch negatives."""
     return _terms(z, idx, mask, cfg)[0]
 
@@ -194,7 +177,7 @@ def loss_unlab(z, idx: MultiviewIndex, cfg: LossConfig):
 
 
 @_dispatch
-def semicon(z, idx: MultiviewIndex, mask: PositiveMask, cfg: LossConfig):
+def semicon(z, idx: MultiviewIndex, mask: np.ndarray, cfg: LossConfig):
     """Unified loss: labeled term + alpha * unlabeled term, from one pass.
 
     ``galpha_on="labeled"`` moves the weight onto the labeled term

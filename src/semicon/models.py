@@ -197,8 +197,3 @@ def encode(enc: Encoder, batch: np.ndarray) -> np.ndarray:
 def _encode_slice(enc: Encoder, batch: np.ndarray) -> np.ndarray:
     tape = Tape()
     return enc.apply(bind(tape, enc.params), tape.const(enc.prepare(batch))).data
-
-
-def project(proj: ProjectionHead, h: np.ndarray) -> np.ndarray:
-    tape = Tape()
-    return proj.apply(bind(tape, proj.params), tape.const(ad.as_f64(h))).data

@@ -155,7 +155,7 @@ class AugmentationSpec:
     kind "vector": additive Gaussian noise + coordinate dropout.
     kind "image": pad-and-crop, horizontal flip, per-channel brightness
     and contrast jitter, occasional grayscale; value range is not
-    re-clipped afterwards. kind "identity": pass-through.
+    re-clipped afterwards.
     """
 
     kind: str = "vector"
@@ -167,7 +167,7 @@ class AugmentationSpec:
     grayscale_p: float = 0.2
 
     def __post_init__(self):
-        if self.kind not in ("vector", "image", "identity"):
+        if self.kind not in ("vector", "image"):
             raise ConfigError(f"unknown augmentation kind {self.kind!r}")
         if not 0 <= self.dropout_p <= 1 or not 0 <= self.flip_p <= 1:
             raise ConfigError("probabilities must lie in [0, 1]")
@@ -202,8 +202,6 @@ def augment(x: np.ndarray, spec: AugmentationSpec,
             rng: np.random.Generator) -> np.ndarray:
     """One stochastic view of each row of `x` (independent per row)."""
     x = np.asarray(x, dtype=np.float64)
-    if spec.kind == "identity":
-        return x.copy()
     if spec.kind == "vector":
         noisy = x + spec.noise_sigma * rng.normal(size=x.shape)
         keep = rng.random(x.shape) >= spec.dropout_p

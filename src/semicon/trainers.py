@@ -54,9 +54,9 @@ SUPERVISED_METHODS = ("scr", "er", "finetune", "offline")
 # optional field -> (methods it applies to, default there); the field
 # stays None on every other method, and setting it there is an error
 _APPLIES = {
-    "alpha": (("ours",), 1.0),
-    "galpha_on": (("ours",), "unlabeled"),
-    "tau": (CONTRASTIVE_METHODS, 0.07),
+    "alpha": (("ours",), losses.LossConfig.alpha),
+    "galpha_on": (("ours",), losses.LossConfig.galpha_on),
+    "tau": (CONTRASTIVE_METHODS, losses.LossConfig.tau),
     "mem_size": (MEMORY_METHODS, 200),
     "mem_batch": (MEMORY_METHODS, 100),
     "epochs": (("offline",), 50),
@@ -79,7 +79,6 @@ class TrainConfig:
     learning_rate: float = 0.1
     seed: int = 0
     epochs: int | None = None
-    augmentation: AugmentationSpec | None = None
     loss_trace: bool = False
 
     def __post_init__(self):
@@ -264,7 +263,7 @@ def _train_replay(cfg: TrainConfig, stream: TaskStream,
     contrastive = cfg.method in CONTRASTIVE_METHODS
     if contrastive:
         params = {**enc.params, **proj.params}
-        aug = cfg.augmentation or _default_augmentation(model)
+        aug = _default_augmentation(model)
         loss_cfg = cfg.loss_config()
     else:
         params = {**enc.params,

@@ -209,19 +209,35 @@ def test_heap_setting_is_a_no_op_without_mallopt(monkeypatch):
     assert ad._keep_heap_warm() is None
 
 
-def test_maxpool2d_routes_ties_to_first_maximum():
-    x = np.array([[1.0, 3.0, 0.0, 0.0, 9.0],
-                  [3.0, 2.0, 0.0, 0.0, 9.0],
-                  [9.0, 9.0, 9.0, 9.0, 9.0]]).reshape(1, 3, 5, 1)
+# (input rows, pooled row, (row, col) that takes each window's gradient)
+MAXPOOL_CASES = {
+    # the last row and column fill no window
+    "ties": ([[1.0, 3.0, 0.0, 0.0, 9.0],
+              [3.0, 2.0, 0.0, 0.0, 9.0],
+              [9.0, 9.0, 9.0, 9.0, 9.0]], [3.0, 0.0], [(0, 1), (0, 2)]),
+    "last_slot": ([[1.0, 2.0, 5.0, -1.0],
+                   [3.0, 4.0, 0.0, 6.0]], [4.0, 6.0], [(1, 1), (1, 3)]),
+    "signed_zero": ([[-0.0, 0.0],
+                     [-1.0, -2.0]], [-0.0], [(0, 0)]),
+}
+
+
+@pytest.mark.parametrize("case", MAXPOOL_CASES)
+def test_maxpool2d_routes_ties_to_first_maximum(case):
+    rows, pooled, winners = MAXPOOL_CASES[case]
+    x = np.array(rows)[None, :, :, None]
     tape = ad.Tape()
     xv = tape.param(x)
-    out = ad.maxpool2d(xv, 2)  # the last row and column fill no window
-    assert np.array_equal(out.data.ravel(), [3.0, 0.0])
-    weights = tape.const(np.array([5.0, 7.0]).reshape(1, 1, 2, 1))
-    grads = ad.backward(ad.total_sum(ad.mul(out, weights)))
-    want = np.zeros((1, 3, 5, 1))
-    want[0, 0, 1, 0] = 5.0
-    want[0, 0, 2, 0] = 7.0
+    out = ad.maxpool2d(xv, 2)
+    assert np.array_equal(out.data.ravel(), pooled)
+    # a -0.0/0.0 tie keeps the first value, sign bit included
+    assert np.array_equal(np.signbit(out.data.ravel()), np.signbit(pooled))
+    weights = 5.0 + 2.0 * np.arange(len(pooled))
+    weighted = ad.mul(out, tape.const(weights.reshape(out.shape)))
+    grads = ad.backward(ad.total_sum(weighted))
+    want = np.zeros(x.shape)
+    for (r, c), wt in zip(winners, weights):
+        want[0, r, c, 0] = wt
     assert np.array_equal(grads[xv.idx], want)
 
 

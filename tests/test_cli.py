@@ -182,6 +182,17 @@ def test_unknown_dataset_is_config_error(capsys):
     assert "unknown dataset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [["--tau", "-1"], ["--dataset", "cifar10"],
+                                  ["sweep.cfg"]])
+def test_rejected_run_leaves_no_output_dir(tmp_path, capsys, monkeypatch, args):
+    # the last sweep point is the bad one: every point is checked first
+    monkeypatch.chdir(tmp_path)
+    write_cfg(tmp_path, "sweep_alpha = 0.5, -1\n", name="sweep.cfg")
+    assert cli.main(["run", *args]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "reports").exists()
+
+
 def test_missing_cifar_file_is_data_error(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     path = write_cfg(tmp_path, "dataset = cifar10\n"

@@ -15,7 +15,6 @@ from semicon.losses import (
     REDUCTIONS,
     LossConfig,
     MultiviewIndex,
-    PositiveMask,
     build_masks,
 )
 
@@ -44,7 +43,6 @@ def test_from_sources_layout():
     assert np.array_equal(idx.pair, [3, 4, 5, 0, 1, 2])
     assert np.array_equal(idx.labeled, [True, True, False] * 2)
     assert np.array_equal(idx.labels, [0, 1, -1, 0, 1, -1])
-    assert idx.b_l == 2 and idx.b_u == 1
 
 
 def test_index_rejects_bad_pair_map():
@@ -60,13 +58,13 @@ def test_index_rejects_mismatched_pair_labels():
 def test_mask_single_labeled_source():
     # b=1: the only positive either way is the paired view
     mask = build_masks(MultiviewIndex.from_sources([0]))
-    assert np.array_equal(mask.positives, [[False, True], [True, False]])
+    assert np.array_equal(mask, [[False, True], [True, False]])
 
 
 def test_mask_two_sources_same_class():
     mask = build_masks(MultiviewIndex.from_sources([5, 5]))
-    assert np.array_equal(mask.positives.sum(axis=1), [3, 3, 3, 3])
-    assert not np.any(np.diag(mask.positives))
+    assert np.array_equal(mask.sum(axis=1), [3, 3, 3, 3])
+    assert not np.any(np.diag(mask))
 
 
 def test_mask_mixed_batch_hand_enumerated():
@@ -75,20 +73,24 @@ def test_mask_mixed_batch_hand_enumerated():
     expected = np.zeros((4, 4), dtype=bool)
     expected[0, 2] = expected[2, 0] = True  # labeled anchors: same-class views
     expected[1, 3] = expected[3, 1] = True  # unlabeled anchors: their pair
-    assert np.array_equal(build_masks(idx).positives, expected)
+    assert np.array_equal(build_masks(idx), expected)
 
 
 def test_mask_unlabeled_never_positive_for_labeled():
     z, idx = random_batch(0, b_l=3, b_u=3)
-    pos = build_masks(idx).positives
+    pos = build_masks(idx)
     assert not np.any(pos[np.ix_(idx.labeled, ~idx.labeled)])
 
 
-def test_positive_mask_invariants_enforced():
-    with pytest.raises(ValueError, match="own positive"):
-        PositiveMask(np.eye(2, dtype=bool))
-    with pytest.raises(ValueError, match="at least one positive"):
-        PositiveMask(np.zeros((2, 2), dtype=bool))
+@pytest.mark.parametrize("seed,b_l,b_u", [(0, 1, 0), (1, 0, 1), (2, 4, 0),
+                                           (3, 0, 4), (4, 3, 2), (5, 1, 5)])
+def test_build_masks_no_self_positive_and_one_per_row(seed, b_l, b_u):
+    # the loss divides each row by its positive count
+    _, idx = random_batch(seed, b_l, b_u, n_classes=4)
+    mask = build_masks(idx)
+    assert mask.dtype == bool and mask.shape == (idx.n_views, idx.n_views)
+    assert not np.any(np.diag(mask))
+    assert np.all(mask.sum(axis=1) >= 1)
 
 
 def test_loss_config_validation():

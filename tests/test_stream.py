@@ -147,13 +147,6 @@ def test_test_sets_follow_task_classes():
 # augmentation
 # ---------------------------------------------------------------------------
 
-def test_identity_augmentation():
-    x = np.arange(12.0).reshape(3, 4)
-    out = augment(x, AugmentationSpec(kind="identity"), np.random.default_rng(0))
-    assert np.array_equal(out, x)
-    assert out is not x
-
-
 def test_vector_views_differ():
     x = np.ones((4, 6))
     rng = np.random.default_rng(1)
@@ -197,12 +190,13 @@ def test_augmentation_spec_validation():
 def test_multiview_layout():
     feats = np.repeat(np.arange(3.0)[:, None], 3, axis=1)
     views, idx = make_multiview(feats, np.array([4, -1, 4]),
-                                AugmentationSpec(kind="identity"),
+                                AugmentationSpec(kind="vector", noise_sigma=0.0,
+                                                 dropout_p=0.0),
                                 np.random.default_rng(0))
     assert views.shape == (6, 3)
     assert np.array_equal(idx.pair, [3, 4, 5, 0, 1, 2])
     assert np.array_equal(idx.labels, [4, -1, 4, 4, -1, 4])
-    # identity augmentation: both views equal the source
+    # no noise and no dropout: both views equal the source
     assert np.array_equal(views[:3], views[3:])
     assert np.array_equal(views[0], np.zeros(3))
 

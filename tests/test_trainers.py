@@ -63,6 +63,8 @@ def test_loss_config_fills_unified_defaults():
     scr = TrainConfig(method="scr")
     assert scr.loss_config() == losses.LossConfig(tau=0.07)
     assert scr.alpha is None and scr.galpha_on is None
+    # the trainer's defaults are the loss's own
+    assert TrainConfig("ours").loss_config() == losses.LossConfig()
 
 
 def test_config_rejects_foreign_fields():
