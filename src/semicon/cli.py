@@ -288,25 +288,21 @@ def _check_consistent(group: list[RunReport], ignore: set[str],
                         f"divergent keys: {sorted(divergent)}")
 
 
-def _axis_table(reports: list[RunReport], axis: str, path: str) -> bool:
+def _axis_table(reports: list[RunReport], axis: str) -> list[list] | None:
+    """Header and rows of mean final accuracy per (method, axis value)."""
     groups = _grouped(reports, axis)
     if len({value for _, value in groups}) < 2:
-        return False  # a curve needs at least two axis points
-    rows = []
+        return None  # a curve needs at least two axis points
+    rows = [["method", axis, "mean_final_avg", "std_final_avg", "reps"]]
     for (method, value), group in groups.items():
         _check_consistent(group, {"seed"}, f"{axis}={value:g} ({method})")
         finals = [r.final_avg for r in group]
         rows.append([method, f"{value:g}", f"{np.mean(finals):.6f}",
                      f"{_std(finals):.6f}", len(group)])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", axis, "mean_final_avg", "std_final_avg",
-                         "reps"])
-        writer.writerows(rows)
-    return True
+    return rows
 
 
-def _relative_table(reports: list[RunReport], path: str) -> bool:
+def _relative_table(reports: list[RunReport]) -> list[list] | None:
     """Budgeted methods against the fully supervised scr baseline.
 
     relative_final_avg is a plain ratio: mean final accuracy of the
@@ -316,8 +312,8 @@ def _relative_table(reports: list[RunReport], path: str) -> bool:
     scr = {size: group for (method, size), group in groups.items()
            if method == "scr"}
     if not scr:
-        return False  # nothing to normalize against
-    rows = []
+        return None  # nothing to normalize against
+    rows = [["method", "mem_size", "label_fraction", "relative_final_avg", "reps"]]
     for (method, size), group in groups.items():
         if method not in ("ours", "scr-mo"):
             continue
@@ -333,36 +329,27 @@ def _relative_table(reports: list[RunReport], path: str) -> bool:
         fraction = np.mean([r.label_fraction for r in group])
         rows.append([method, size, f"{fraction:.6f}", f"{mean / base:.6f}",
                      len(group)])
-    if not rows:
-        return False
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "mem_size", "label_fraction",
-                         "relative_final_avg", "reps"])
-        writer.writerows(rows)
-    return True
+    return rows if len(rows) > 1 else None
 
 
 def cmd_plot_data(args: argparse.Namespace) -> None:
     reports = _load_reports_dir(args.reports_dir)
+    # every table is built before the output directory is made
+    tables = {
+        "accuracy_vs_mem_batch.csv": _axis_table(reports, "mem_batch"),
+        "accuracy_vs_alpha.csv": _axis_table(reports, "alpha"),
+        "relative_vs_label_fraction.csv": _relative_table(reports),
+    }
+    tables = {name: rows for name, rows in tables.items() if rows}
+    if not tables:
+        raise DataError("reports carry no sweep axes to tabulate")
     out_dir = args.out or args.reports_dir
     os.makedirs(out_dir, exist_ok=True)
-    tables = [
-        ("accuracy_vs_mem_batch.csv",
-         lambda p: _axis_table(reports, "mem_batch", p)),
-        ("accuracy_vs_alpha.csv",
-         lambda p: _axis_table(reports, "alpha", p)),
-        ("relative_vs_label_fraction.csv",
-         lambda p: _relative_table(reports, p)),
-    ]
-    written = 0
-    for name, build in tables:
+    for name, rows in tables.items():
         path = os.path.join(out_dir, name)
-        if build(path):
-            print(f"wrote {path}")
-            written += 1
-    if not written:
-        raise DataError("reports carry no sweep axes to tabulate")
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------

@@ -103,10 +103,10 @@ class LossConfig:
     reduction: str = "sum"
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError(f"temperature must be > 0, got {self.tau}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0 < self.tau < np.inf:
+            raise ValueError(f"temperature must be finite and > 0, got {self.tau}")
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.galpha_on not in GALPHA_CHOICES:
             raise ValueError(f"galpha_on must be one of {GALPHA_CHOICES}")
         if self.reduction not in REDUCTIONS:

@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# offers per draw in `simulate_oracle_calls`: bounds its (trials, SIMULATE_CHUNK) array
+SIMULATE_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class Oracle:
@@ -159,7 +162,6 @@ def simulate_oracle_calls(
     stream_length: int,
     trials: int,
     rng: np.random.Generator,
-    chunk: int = 4096,
 ) -> np.ndarray:
     """Monte-Carlo draw of per-trial oracle-call totals.
 
@@ -169,8 +171,8 @@ def simulate_oracle_calls(
     """
     m, n = capacity, stream_length
     counts = np.full(trials, float(min(m, n)))
-    for start in range(m + 1, n + 1, chunk):
-        steps = np.arange(start, min(start + chunk, n + 1))
+    for start in range(m + 1, n + 1, SIMULATE_CHUNK):
+        steps = np.arange(start, min(start + SIMULATE_CHUNK, n + 1))
         hits = rng.random((trials, steps.size)) < (m / steps)
         counts += hits.sum(axis=1)
     return counts

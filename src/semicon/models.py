@@ -47,7 +47,6 @@ class ConvSpec:
 @dataclass(frozen=True)
 class HeadSpec:
     in_dim: int
-    hidden_dim: int
     out_dim: int = 128
 
 
@@ -119,10 +118,6 @@ class ProjectionHead:
     spec: HeadSpec
     params: dict[str, np.ndarray]
 
-    @property
-    def out_dim(self) -> int:
-        return self.spec.out_dim
-
     def apply(self, bound: Mapping[str, Var], h: Var) -> Var:
         if h.shape[1] != self.spec.in_dim:
             raise ShapeError(
@@ -165,7 +160,7 @@ def init_params(seed: int, spec: MlpSpec | ConvSpec,
     enc = Encoder(spec, params)
 
     hidden = spec.out_dim if head_hidden is None else head_hidden
-    head_spec = HeadSpec(spec.out_dim, hidden, proj_dim)
+    head_spec = HeadSpec(spec.out_dim, proj_dim)
     head_params = {
         "proj/w1": _uniform_fan_in(rng, head_spec.in_dim,
                                    (head_spec.in_dim, hidden)),

@@ -148,75 +148,56 @@ def split_dataset(
 # augmentation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AugmentationSpec:
-    """Stochastic view transform; every call draws fresh randomness.
-
-    kind "vector": additive Gaussian noise + coordinate dropout.
-    kind "image": pad-and-crop, horizontal flip, per-channel brightness
-    and contrast jitter, occasional grayscale; value range is not
-    re-clipped afterwards.
-    """
-
-    kind: str = "vector"
-    noise_sigma: float = 0.1
-    dropout_p: float = 0.1
-    pad: int = 4
-    flip_p: float = 0.5
-    jitter: float = 0.4
-    grayscale_p: float = 0.2
-
-    def __post_init__(self):
-        if self.kind not in ("vector", "image"):
-            raise ConfigError(f"unknown augmentation kind {self.kind!r}")
-        if not 0 <= self.dropout_p <= 1 or not 0 <= self.flip_p <= 1:
-            raise ConfigError("probabilities must lie in [0, 1]")
-        if not 0 <= self.grayscale_p <= 1:
-            raise ConfigError("probabilities must lie in [0, 1]")
+# vector views: additive Gaussian noise, then coordinate dropout
+NOISE_SIGMA = 0.1
+DROPOUT_P = 0.1
+# image views: pad-and-crop, horizontal flip, per-channel brightness and
+# contrast jitter, occasional grayscale; values are not re-clipped
+PAD = 4
+FLIP_P = 0.5
+JITTER = 0.4
+GRAYSCALE_P = 0.2
 
 
-def _augment_images(x: np.ndarray, spec: AugmentationSpec,
-                    rng: np.random.Generator) -> np.ndarray:
+def _augment_images(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     b, c, h, w = x.shape
-    p = spec.pad
-    padded = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    padded = np.pad(x, ((0, 0), (0, 0), (PAD, PAD), (PAD, PAD)))
     out = np.empty_like(x)
-    offsets = rng.integers(0, 2 * p + 1, size=(b, 2))
+    offsets = rng.integers(0, 2 * PAD + 1, size=(b, 2))
     for i in range(b):
         dy, dx = offsets[i]
         out[i] = padded[i, :, dy:dy + h, dx:dx + w]
-    flips = rng.random(b) < spec.flip_p
+    flips = rng.random(b) < FLIP_P
     out[flips] = out[flips, :, :, ::-1]
-    bright = 1.0 + rng.uniform(-spec.jitter, spec.jitter, size=(b, c, 1, 1))
+    bright = 1.0 + rng.uniform(-JITTER, JITTER, size=(b, c, 1, 1))
     out *= bright
-    contrast = 1.0 + rng.uniform(-spec.jitter, spec.jitter, size=(b, c, 1, 1))
+    contrast = 1.0 + rng.uniform(-JITTER, JITTER, size=(b, c, 1, 1))
     means = out.mean(axis=(2, 3), keepdims=True)
     out = (out - means) * contrast + means
-    gray = rng.random(b) < spec.grayscale_p
+    gray = rng.random(b) < GRAYSCALE_P
     if gray.any():
         out[gray] = out[gray].mean(axis=1, keepdims=True)
     return out
 
 
-def augment(x: np.ndarray, spec: AugmentationSpec,
-            rng: np.random.Generator) -> np.ndarray:
-    """One stochastic view of each row of `x` (independent per row)."""
+def augment(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One stochastic view of each row of `x` (independent per row): vector
+    views for a (batch, d) array, image views for (batch, C, H, W)."""
     x = np.asarray(x, dtype=np.float64)
-    if spec.kind == "vector":
-        noisy = x + spec.noise_sigma * rng.normal(size=x.shape)
-        keep = rng.random(x.shape) >= spec.dropout_p
+    if x.ndim == 2:
+        noisy = x + NOISE_SIGMA * rng.normal(size=x.shape)
+        keep = rng.random(x.shape) >= DROPOUT_P
         return noisy * keep
-    if x.ndim != 4:
-        raise DataError(
-            f"image augmentation expects (batch, C, H, W), got {x.shape}"
-        )
-    return _augment_images(x, spec, rng)
+    if x.ndim == 4:
+        return _augment_images(x, rng)
+    raise DataError(
+        f"augmentation expects (batch, d) or (batch, C, H, W), got {x.shape}"
+    )
 
 
 def make_multiview(
     features: np.ndarray,
     labels: np.ndarray,
-    spec: AugmentationSpec,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, MultiviewIndex]:
     """Two independent views per source, stacked [first views; second views].
@@ -227,8 +208,7 @@ def make_multiview(
     if not len(features):
         raise DataError("cannot build a multiview batch from no sources")
     feats = np.asarray(features, dtype=np.float64)
-    views = np.concatenate([augment(feats, spec, rng),
-                            augment(feats, spec, rng)])
+    views = np.concatenate([augment(feats, rng), augment(feats, rng)])
     return views, MultiviewIndex.from_sources(np.asarray(labels, dtype=np.int64))
 
 

@@ -43,7 +43,7 @@ from .models import (
     init_params,
 )
 from .reports import RunReport
-from .stream import AugmentationSpec, TaskStream, make_multiview
+from .stream import TaskStream, make_multiview
 
 METHODS = ("ours", "scr", "scr-mo", "er", "er-mo", "finetune", "offline")
 CONTRASTIVE_METHODS = ("ours", "scr", "scr-mo")
@@ -104,8 +104,9 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.stream_batch < 1:
             raise ConfigError(f"stream batch must be >= 1, got {self.stream_batch}")
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError(
+                f"learning rate must be finite and > 0, got {self.learning_rate}")
         # validate loss hyperparameters eagerly
         if self.method in CONTRASTIVE_METHODS:
             self.loss_config()
@@ -132,11 +133,6 @@ def _init_seed(rngs: dict) -> int:
     return int(rngs["init"].integers(0, 2**63 - 1))
 
 
-def _default_augmentation(model: MlpSpec | ConvSpec) -> AugmentationSpec:
-    kind = "image" if isinstance(model, ConvSpec) else "vector"
-    return AugmentationSpec(kind=kind)
-
-
 class _Harness:
     """Shared plumbing: parameter updates, step/loss accounting, eval."""
 
@@ -146,6 +142,8 @@ class _Harness:
                 f"config stream_batch {cfg.stream_batch} != "
                 f"stream batch size {stream.batch_size}"
             )
+        if not stream.test_sets:
+            raise ConfigError("the stream has no test sets to score the run on")
         self.started = time.perf_counter()
         self.cfg = cfg
         self.stream = stream
@@ -263,7 +261,6 @@ def _train_replay(cfg: TrainConfig, stream: TaskStream,
     contrastive = cfg.method in CONTRASTIVE_METHODS
     if contrastive:
         params = {**enc.params, **proj.params}
-        aug = _default_augmentation(model)
         loss_cfg = cfg.loss_config()
     else:
         params = {**enc.params,
@@ -281,7 +278,7 @@ def _train_replay(cfg: TrainConfig, stream: TaskStream,
             if not len(ids):
                 harness.skip_step()
             elif contrastive:
-                views, idx = make_multiview(stream.data.features[ids], labels, aug,
+                views, idx = make_multiview(stream.data.features[ids], labels,
                                             rngs["augment"])
                 harness.step(params, _contrastive_forward(
                     enc, proj, views, idx, loss_cfg), task.index)
@@ -344,7 +341,8 @@ def _train_head_only(cfg: TrainConfig, stream: TaskStream,
 def run(cfg: TrainConfig, stream: TaskStream,
         model: MlpSpec | ConvSpec) -> tuple[Encoder, MemoryBuffer | None, RunReport]:
     """Train cfg.method on the stream: replay for the memory methods,
-    head-only training for finetune and offline."""
+    head-only training for finetune and offline. A stream without test
+    sets is rejected before the first step: nothing could score it."""
     if cfg.method in MEMORY_METHODS:
         return _train_replay(cfg, stream, model)
     return _train_head_only(cfg, stream, model)

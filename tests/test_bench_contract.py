@@ -16,7 +16,7 @@ import pytest
 from semicon import autodiff as ad
 from semicon import losses, trainers
 from semicon.models import MlpSpec, bind, init_params
-from semicon.stream import AugmentationSpec, make_multiview, make_synthetic
+from semicon.stream import make_multiview, make_synthetic
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -73,8 +73,7 @@ def test_benchmark_memory_check_passes_and_sees_a_replaced_record(run_memory):
 def test_benchmark_loss_check_passes_on_a_captured_step():
     rng = np.random.default_rng(4)
     labels = np.array([0, 2, 0, -1, 1, -1])
-    views, idx = make_multiview(rng.normal(size=(6, 5)), labels,
-                                AugmentationSpec(kind="vector"), rng)
+    views, idx = make_multiview(rng.normal(size=(6, 5)), labels, rng)
     enc, proj = init_params(5, MlpSpec(in_dim=5, hidden=(8,)))
     cfg = trainers.TrainConfig("ours", alpha=0.4).loss_config()
     tape = ad.Tape()

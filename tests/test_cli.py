@@ -161,7 +161,8 @@ def test_alpha_on_wrong_method_is_config_error(capsys):
     assert "alpha does not apply" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("setting", ["--tau=-1", "--alpha=-0.5",
+@pytest.mark.parametrize("setting", ["--tau=-1", "--tau=inf", "--alpha=-0.5",
+                                     "--alpha=nan", "--alpha=inf", "--lr=inf",
                                      "--galpha-on=both", "galpha_on = both"])
 def test_bad_loss_setting_is_config_error(tmp_path, capsys, monkeypatch,
                                           setting):
@@ -183,7 +184,9 @@ def test_unknown_dataset_is_config_error(capsys):
 
 
 @pytest.mark.parametrize("args", [["--tau", "-1"], ["--dataset", "cifar10"],
-                                  ["sweep.cfg"]])
+                                  ["sweep.cfg"], ["--tau", "inf"],
+                                  ["--alpha", "nan"], ["--alpha", "inf"],
+                                  ["--lr", "inf"]])
 def test_rejected_run_leaves_no_output_dir(tmp_path, capsys, monkeypatch, args):
     # the last sweep point is the bad one: every point is checked first
     monkeypatch.chdir(tmp_path)
@@ -335,6 +338,14 @@ def test_plot_data_without_axes_errors(tmp_path, capsys):
     write_report_files(tmp_path / "in", [fake_report("er", 0, 0.5)])
     assert cli.main(["plot-data", str(tmp_path / "in")]) == 2
     assert "no sweep axes" in capsys.readouterr().err
+
+
+def test_plot_data_without_axes_makes_no_out_dir(tmp_path, capsys):
+    write_report_files(tmp_path / "in", [fake_report("er", 0, 0.5)])
+    out = tmp_path / "new"
+    assert cli.main(["plot-data", str(tmp_path / "in"), "--out", str(out)]) == 2
+    assert "no sweep axes" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_plot_data_is_order_independent(tmp_path):

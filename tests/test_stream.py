@@ -5,7 +5,7 @@ import pytest
 
 from semicon.errors import ConfigError, DataError
 from semicon.stream import (
-    AugmentationSpec,
+    DROPOUT_P,
     LabeledDataset,
     augment,
     load_cifar_binary,
@@ -150,69 +150,67 @@ def test_test_sets_follow_task_classes():
 def test_vector_views_differ():
     x = np.ones((4, 6))
     rng = np.random.default_rng(1)
-    spec = AugmentationSpec(kind="vector")
-    a, b = augment(x, spec, rng), augment(x, spec, rng)
+    a, b = augment(x, rng), augment(x, rng)
     assert not np.array_equal(a, b)
     assert a.shape == b.shape == x.shape
 
 
 def test_vector_dropout_zeroes_coordinates():
-    x = np.ones((200, 10))
-    spec = AugmentationSpec(kind="vector", noise_sigma=0.0, dropout_p=0.3)
-    out = augment(x, spec, np.random.default_rng(2))
+    out = augment(np.ones((200, 10)), np.random.default_rng(2))
     zero_rate = np.mean(out == 0.0)
-    assert 0.25 < zero_rate < 0.35
+    assert abs(zero_rate - DROPOUT_P) < 0.03
 
 
 def test_image_augmentation_shape_and_variety():
     rng = np.random.default_rng(3)
     x = rng.random((5, 3, 12, 12))
-    spec = AugmentationSpec(kind="image", pad=2)
-    a = augment(x, spec, rng)
-    b = augment(x, spec, rng)
+    a = augment(x, rng)
+    b = augment(x, rng)
     assert a.shape == x.shape
     assert not np.array_equal(a, b)
 
 
-def test_image_augmentation_rejects_flat_input():
-    with pytest.raises(DataError, match="batch, C, H, W"):
-        augment(np.zeros((4, 10)), AugmentationSpec(kind="image"),
-                np.random.default_rng(0))
-
-
-def test_augmentation_spec_validation():
-    with pytest.raises(ConfigError):
-        AugmentationSpec(kind="rotate")
-    with pytest.raises(ConfigError):
-        AugmentationSpec(dropout_p=1.5)
+@pytest.mark.parametrize("shape", [(10,), (4, 3, 10), (2, 1, 3, 4, 4)],
+                         ids=["1d", "3d", "5d"])
+def test_augmentation_rejects_other_batch_shapes(shape):
+    with pytest.raises(DataError, match=r"\(batch, d\) or \(batch, C, H, W\)"):
+        augment(np.zeros(shape), np.random.default_rng(0))
 
 
 def test_multiview_layout():
     feats = np.repeat(np.arange(3.0)[:, None], 3, axis=1)
     views, idx = make_multiview(feats, np.array([4, -1, 4]),
-                                AugmentationSpec(kind="vector", noise_sigma=0.0,
-                                                 dropout_p=0.0),
                                 np.random.default_rng(0))
     assert views.shape == (6, 3)
     assert np.array_equal(idx.pair, [3, 4, 5, 0, 1, 2])
     assert np.array_equal(idx.labels, [4, -1, 4, 4, -1, 4])
-    # no noise and no dropout: both views equal the source
-    assert np.array_equal(views[:3], views[3:])
-    assert np.array_equal(views[0], np.zeros(3))
+    # first views, then second views, from two draws of one generator
+    rng = np.random.default_rng(0)
+    assert np.array_equal(views[:3], augment(feats, rng))
+    assert np.array_equal(views[3:], augment(feats, rng))
+
+
+def test_multiview_image_views_are_two_augment_draws():
+    feats = np.random.default_rng(5).random((3, 3, 32, 32))
+    views, _ = make_multiview(feats, np.array([0, -1, 1]),
+                              np.random.default_rng(6))
+    rng = np.random.default_rng(6)
+    want = np.concatenate([augment(feats, rng), augment(feats, rng)])
+    assert views.shape == (6, 3, 32, 32)
+    assert np.array_equal(views, want)
 
 
 def test_multiview_deterministic_given_seed():
     feats, labels = np.stack([np.arange(4.0), np.ones(4)]), np.array([-1, 2])
-    spec = AugmentationSpec(kind="vector")
-    v1, _ = make_multiview(feats, labels, spec, np.random.default_rng(9))
-    v2, _ = make_multiview(feats, labels, spec, np.random.default_rng(9))
+    v1, _ = make_multiview(feats, labels, np.random.default_rng(9))
+    v2, _ = make_multiview(feats, labels, np.random.default_rng(9))
     assert np.array_equal(v1, v2)
 
 
 def test_multiview_empty_batch_rejected():
     with pytest.raises(DataError, match="no sources"):
         make_multiview(np.zeros((0, 3)), np.zeros(0, dtype=np.int64),
-                       AugmentationSpec(), np.random.default_rng(0))
+                       np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

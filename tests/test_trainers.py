@@ -14,7 +14,6 @@ from semicon.memory import Oracle
 from semicon.models import ConvSpec, MlpSpec, bind, init_params
 from semicon.reports import canonical_json, from_json, to_json
 from semicon.stream import (
-    AugmentationSpec,
     LabeledDataset,
     make_multiview,
     make_synthetic,
@@ -113,6 +112,18 @@ def test_stream_batch_mismatch_rejected():
     cfg = cfg_for("ours", stream_batch=10)
     with pytest.raises(ConfigError, match="stream_batch"):
         run(cfg, stream, MODEL)
+
+
+@pytest.mark.parametrize("method", ["ours", "er", "finetune"])
+def test_stream_without_test_sets_rejected_before_training(method, monkeypatch):
+    base = small_stream(seed=2)
+    stream = split_dataset(base.data, 2, seed=2, batch_size=5)
+    steps = []
+    monkeypatch.setattr(trainers._Harness, "step",
+                        lambda self, *a: steps.append(a))
+    with pytest.raises(ConfigError, match="no test sets"):
+        run(cfg_for(method), stream, MODEL)
+    assert steps == []
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +262,9 @@ def test_scr_mo_batch_is_mem_batch_once_full(monkeypatch):
     sizes = []
     real = trainers.make_multiview
 
-    def spy(feats, labels, spec, rng):
+    def spy(feats, labels, rng):
         sizes.append(len(labels))
-        return real(feats, labels, spec, rng)
+        return real(feats, labels, rng)
 
     monkeypatch.setattr(trainers, "make_multiview", spy)
     cfg = cfg_for("scr-mo", seed=4, mem_size=100, mem_batch=5)
@@ -349,8 +360,7 @@ def test_scr_step0_loss_matches_semicon_on_all_labeled_batch():
     enc, proj = init_params(trainers._init_seed(rngs), MODEL)
     batch = replay_first_batch(small_stream(seed=16))
     views, idx = make_multiview(
-        stream.data.features[batch], stream.oracle.label(batch),
-        AugmentationSpec(kind="vector"), rngs["augment"],
+        stream.data.features[batch], stream.oracle.label(batch), rngs["augment"],
     )
     tape = ad.Tape()
     bound = bind(tape, {**enc.params, **proj.params})
