@@ -211,13 +211,25 @@ def cmd_run(args: argparse.Namespace) -> None:
     # every config is checked before anything is written
     train_cfgs = [[_train_config(cfg, seed=cfg["seed"] + rep, axis=axis, value=value)
                    for rep in range(cfg["reps"])] for axis, value in points]
+    named: dict[str, object] = {}
+    for axis, value in points:
+        name = _run_name(cfg["method"], axis, value, 0)
+        if name in named:
+            raise ConfigError(f"{axis} values {named[name]!r} and {value!r} "
+                              f"would both write {name}")
+        named[name] = value
     out_dir = cfg["out"]
-    os.makedirs(out_dir, exist_ok=True)
     aggregate = []
     for (axis, value), point_cfgs in zip(points, train_cfgs):
         reports = []
         for rep, train_cfg in enumerate(point_cfgs):
             stream, model = _build_stream(cfg, train_cfg.seed)
+            # made after the stream builds, so a bad data setting leaves none,
+            # and before training, so a bad out path fails at once
+            try:
+                os.makedirs(out_dir, exist_ok=True)
+            except OSError as e:
+                raise ConfigError(f"cannot make out {out_dir!r}: {e}") from None
             encoder, _, report = run_method(train_cfg, stream, model)
             _check_finite(encoder)
             name = _run_name(cfg["method"], axis, value, rep)

@@ -1,4 +1,4 @@
-"""Testing-phase classification and continual-learning accuracy tracking.
+"""Testing-phase classification: NCM over memory and linear-head accuracy.
 
 Classification is Nearest Class Mean over encoder latents of the memory
 contents: latents are L2-normalized, averaged per class, and the means
@@ -9,7 +9,7 @@ sphere). The projection head plays no part here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,27 +75,6 @@ def fit_ncm(enc: Encoder, memory: MemoryBuffer) -> ClassMeans:
 
 def predict(means: ClassMeans, enc: Encoder, xs: np.ndarray) -> np.ndarray:
     return nearest_mean(means, encode(enc, xs))
-
-
-@dataclass
-class AccuracyMatrix:
-    """Row k: accuracy on every task's test set after training task k."""
-
-    rows: list[list[float]] = field(default_factory=list)
-
-    def add_row(self, row) -> None:
-        row = [float(a) for a in row]
-        if any(not 0.0 <= a <= 1.0 for a in row):
-            raise ValueError(f"accuracies must lie in [0, 1]: {row}")
-        if self.rows and len(row) != len(self.rows[-1]):
-            raise ValueError("accuracy rows must have equal width")
-        self.rows.append(row)
-
-    @property
-    def final_avg(self) -> float:
-        if not self.rows:
-            raise ValueError("no evaluation rows recorded")
-        return float(np.mean(self.rows[-1]))
 
 
 def evaluate(

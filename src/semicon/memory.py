@@ -2,9 +2,10 @@
 
 The buffer is the only place labels enter the training loop: a stream
 sample gets a label (one oracle call) exactly when reservoir sampling
-decides to store it, including items that are later evicted. Under
-Algorithm R the expected number of calls after N offers is
-M * (1 + H_N - H_M), which for M << N is about M * (1 + ln(N / M)).
+decides to store it, including items that are later evicted. Offers are
+decided one at a time, in stream order, by Algorithm R (Vitter, 1985),
+so the expected number of calls after N offers is M * (1 + H_N - H_M),
+which for M << N is about M * (1 + ln(N / M)).
 """
 
 from __future__ import annotations
@@ -59,9 +60,8 @@ class MemoryBuffer:
 
     capacity: int
     features: np.ndarray | None = field(default=None, repr=False)
-    seen: int = 0
-    oracle_calls: int = 0
-    size: int = field(default=0, init=False)
+    seen: int = field(default=0, init=False)
+    oracle_calls: int = field(default=0, init=False)
     ids: np.ndarray = field(init=False, repr=False)
     labels: np.ndarray = field(init=False, repr=False)
 
@@ -70,6 +70,11 @@ class MemoryBuffer:
             raise ValueError(f"capacity must be >= 1, got {self.capacity}")
         self.ids = np.zeros(self.capacity, dtype=np.int64)
         self.labels = np.zeros(self.capacity, dtype=np.int64)
+
+    @property
+    def size(self) -> int:
+        """Stored slots: every offer is stored until the buffer is full."""
+        return min(self.capacity, self.seen)
 
     @property
     def items(self) -> "_Items":
@@ -101,31 +106,20 @@ class _Items(Sequence):
 def reservoir_update_batch(
     buf: MemoryBuffer, batch, oracle: Oracle, rng: np.random.Generator
 ) -> MemoryBuffer:
-    """Offer a batch of stream source ids to the buffer (Algorithm R).
+    """Offer a batch of stream source ids to the buffer in order (Algorithm R).
 
-    The first M offers are stored outright; offer t > M replaces a
-    uniform slot with probability M/t. Slots are drawn in offer order by
-    one `integers` call, which moves the generator exactly as one draw
-    per offer would. Every store costs one oracle call; of two stores
-    into one slot the later offer stays.
+    Offer t (counting from 0) goes to slot t while t < M; after that it
+    draws a slot uniformly from 0..t and is stored when that slot is
+    below M, so it replaces a uniform slot with probability M/(t + 1).
+    Every store costs one oracle call.
     """
-    batch = np.asarray(batch, dtype=np.int64)
-    m, seen, n = buf.capacity, buf.seen, len(batch)
-    fill = min(max(m - seen, 0), n)
-    slots = np.arange(seen, seen + fill)
-    if fill < n:
-        draws = rng.integers(0, np.arange(seen + fill, seen + n) + 1)
-        slots = np.concatenate([slots, draws])
-    hit = slots < m
-    slots, stored = slots[hit], batch[hit]
-    labels = oracle.label(stored)
-    order = slots.argsort(kind="stable")  # offer order within each slot
-    ranked = slots[order]
-    last = order[ranked != np.concatenate([ranked[1:], [-1]])]
-    buf.ids[slots[last]], buf.labels[slots[last]] = stored[last], labels[last]
-    buf.size = min(m, seen + n)
-    buf.seen += n
-    buf.oracle_calls += len(stored)
+    for sid in np.asarray(batch, dtype=np.int64).tolist():
+        t = buf.seen
+        slot = t if t < buf.capacity else int(rng.integers(0, t + 1))
+        if slot < buf.capacity:
+            buf.ids[slot], buf.labels[slot] = sid, oracle.label(sid)
+            buf.oracle_calls += 1
+        buf.seen += 1
     return buf
 
 

@@ -32,6 +32,11 @@ class RunReport:
     def __post_init__(self):
         if not self.accuracy:
             raise ValueError("a report needs at least one accuracy row")
+        widths = {len(row) for row in self.accuracy}
+        if len(widths) != 1 or 0 in widths:
+            raise ValueError("accuracy rows must be non-empty and of equal width")
+        if any(not 0.0 <= a <= 1.0 for row in self.accuracy for a in row):
+            raise ValueError(f"accuracies must lie in [0, 1]: {self.accuracy}")
         last = self.accuracy[-1]
         if abs(self.final_avg - sum(last) / len(last)) > 1e-12:
             raise ValueError("final_avg must be the mean of the last row")
@@ -63,6 +68,8 @@ def from_json(text: str) -> RunReport:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise DataError(f"malformed report JSON: {e}") from None
+    if not isinstance(raw, dict):
+        raise DataError(f"a report line must hold a JSON object, got {text[:40]!r}")
     version = raw.pop("schema", None)
     if version != SCHEMA_VERSION:
         raise DataError(f"unsupported report schema: {version!r}")
@@ -72,8 +79,8 @@ def from_json(text: str) -> RunReport:
         raise DataError(f"unknown report fields: {sorted(unknown)}")
     try:
         return RunReport(**raw)
-    except TypeError as e:
-        raise DataError(f"incomplete report: {e}") from None
+    except (TypeError, ValueError) as e:
+        raise DataError(f"invalid report: {e}") from None
 
 
 def write_reports(path, reports: list[RunReport]) -> None:

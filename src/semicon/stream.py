@@ -266,8 +266,8 @@ def make_synthetic(
     above 1 make classes linearly separable. Train and test splits are
     drawn from the same blobs.
     """
-    if n_classes < 1 or per_class < 1 or test_per_class < 1:
-        raise ConfigError("class and sample counts must be >= 1")
+    if n_classes < 1 or per_class < 1 or test_per_class < 1 or dim < 1:
+        raise ConfigError("class and sample counts and dim must be >= 1")
     seed_seq = np.random.SeedSequence(seed)
     mean_rng, data_rng, split_seed = seed_seq.spawn(3)
     rng = np.random.default_rng(mean_rng)

@@ -32,7 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from . import losses
 from .errors import ConfigError, NumericError
-from .evaluation import AccuracyMatrix, evaluate, head_accuracy
+from .evaluation import evaluate, head_accuracy
 from .memory import MemoryBuffer, reservoir_update_batch, retrieve
 from .models import (
     ConvSpec,
@@ -104,6 +104,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.stream_batch < 1:
             raise ConfigError(f"stream batch must be >= 1, got {self.stream_batch}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.learning_rate < np.inf:
             raise ConfigError(
                 f"learning rate must be finite and > 0, got {self.learning_rate}")
@@ -147,7 +149,8 @@ class _Harness:
         self.started = time.perf_counter()
         self.cfg = cfg
         self.stream = stream
-        self.matrix = AccuracyMatrix()
+        # row k: accuracy on each test set after task k
+        self.rows: list[list[float]] = []
         self.steps = 0
         self.trace: list[float] = []
         self.missing: list[int] = []
@@ -189,8 +192,8 @@ class _Harness:
                head_row: list[float] | None) -> RunReport:
         return RunReport(
             config=asdict(self.cfg),
-            accuracy=self.matrix.rows,
-            final_avg=self.matrix.final_avg,
+            accuracy=self.rows,
+            final_avg=float(np.mean(self.rows[-1])),
             oracle_calls=oracle_calls,
             label_fraction=oracle_calls / self.stream.n_samples,
             steps=self.steps,
@@ -287,7 +290,7 @@ def _train_replay(cfg: TrainConfig, stream: TaskStream,
                                                  labels), task.index)
             reservoir_update_batch(memory, b_s, stream.oracle, rngs["reservoir"])
         row, harness.missing = evaluate(enc, memory, stream.test_sets)
-        harness.matrix.add_row(row)
+        harness.rows.append(row)
 
     head_row = None if contrastive else head_accuracy(
         enc, params["head/w"], params["head/b"][0], stream.test_sets)
@@ -313,7 +316,7 @@ def _train_head_only(cfg: TrainConfig, stream: TaskStream,
     params = {**enc.params, **_head_init(rngs, enc.out_dim, _n_classes(stream))}
 
     def score():
-        harness.matrix.add_row(head_accuracy(
+        harness.rows.append(head_accuracy(
             enc, params["head/w"], params["head/b"][0], stream.test_sets))
 
     def train_on(ids, task):
@@ -334,7 +337,7 @@ def _train_head_only(cfg: TrainConfig, stream: TaskStream,
         score()
 
     report = harness.report(oracle_calls=stream.n_samples,
-                            head_row=harness.matrix.rows[-1])
+                            head_row=harness.rows[-1])
     return enc, None, report
 
 

@@ -1,6 +1,7 @@
 """Command line: config parsing, runs, sweeps, tables, exit codes."""
 
 import csv
+import json
 import statistics
 from dataclasses import asdict
 
@@ -9,7 +10,7 @@ import pytest
 
 from semicon import cli
 from semicon.errors import ConfigError
-from semicon.reports import RunReport, read_reports, write_reports
+from semicon.reports import RunReport, read_reports, to_json, write_reports
 from semicon.trainers import TrainConfig
 
 
@@ -183,16 +184,97 @@ def test_unknown_dataset_is_config_error(capsys):
     assert "unknown dataset" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("args", [["--tau", "-1"], ["--dataset", "cifar10"],
-                                  ["sweep.cfg"], ["--tau", "inf"],
-                                  ["--alpha", "nan"], ["--alpha", "inf"],
-                                  ["--lr", "inf"]])
-def test_rejected_run_leaves_no_output_dir(tmp_path, capsys, monkeypatch, args):
+def assert_rejected_cleanly(tmp_path, code, err, expected):
+    """Exit `expected` (1 config error, 2 data error) with its message prefix,
+    no traceback, and no default output directory."""
+    prefix = {1: "config error:", 2: "data error:"}[expected]
+    assert code == expected and err.startswith(prefix), err
+    assert "Traceback" not in err
+    assert not (tmp_path / "reports").exists()
+
+
+# config files that a rejected run reads, by name
+REJECTED_CFGS = {
     # the last sweep point is the bad one: every point is checked first
+    "sweep.cfg": "sweep_alpha = 0.5, -1\n",
+    "tasks.cfg": "n_tasks = 3\n",  # 4 classes do not split into 3 tasks
+    "cifar.cfg": ("dataset = cifar10\n"
+                  "data_path = missing.bin\ntest_path = missing.bin\n"),
+}
+
+REJECTED = [(["--tau", "-1"], 1), (["--dataset", "cifar10"], 1),
+            (["sweep.cfg"], 1), (["--tau", "inf"], 1), (["--alpha", "nan"], 1),
+            (["--alpha", "inf"], 1), (["--lr", "inf"], 1), (["tasks.cfg"], 1),
+            (["cifar.cfg"], 2), (["--out", "sweep.cfg/sub"], 1)]
+
+
+@pytest.mark.parametrize("args, expected", REJECTED,
+                         ids=[f"args{i}" for i in range(len(REJECTED))])
+def test_rejected_run_leaves_no_output_dir(tmp_path, capsys, monkeypatch, args,
+                                           expected):
     monkeypatch.chdir(tmp_path)
-    write_cfg(tmp_path, "sweep_alpha = 0.5, -1\n", name="sweep.cfg")
-    assert cli.main(["run", *args]) == 1
-    assert "config error:" in capsys.readouterr().err
+    for name in REJECTED_CFGS.keys() & {arg.split("/")[0] for arg in args}:
+        write_cfg(tmp_path, REJECTED_CFGS[name], name=name)
+    code = cli.main(["run", *args])
+    assert_rejected_cleanly(tmp_path, code, capsys.readouterr().err, expected)
+
+
+# config keys a run takes with any value, and why
+PATH_REASON = "any string is a path; a run that loads a missing file is a data error"
+ANY_VALUE = {"data_path": PATH_REASON, "test_path": PATH_REASON}
+
+# one invalid setting per other config key, and the exit code it gets
+INVALID = {
+    "out": ("out = run.cfg", 1),  # the config file itself: not a directory
+    "method": ("method = sgd", 1),
+    "dataset": ("dataset = imagenet", 1),
+    "reps": ("reps = 0", 1),
+    "seed": ("seed = -1", 1),
+    "alpha": ("alpha = -0.5", 1),
+    "tau": ("tau = -1", 1),
+    "galpha_on": ("galpha_on = both", 1),
+    "stream_batch": ("stream_batch = 0", 1),
+    "mem_batch": ("mem_batch = 0", 1),
+    "mem_size": ("mem_size = 0", 1),
+    "epochs": ("method = offline\nepochs = 0", 1),
+    "lr": ("lr = 0", 1),
+    "loss_trace": ("loss_trace = yes", 1),
+    "sweep_alpha": ("sweep_alpha = 0.5, nan", 1),
+    "sweep_mem_batch": ("sweep_mem_batch = 10, 0", 1),
+    "n_classes": ("n_classes = 0", 1),
+    "dim": ("dim = 0", 1),
+    "separation": ("separation = nan", 2),
+    "per_class": ("per_class = 0", 1),
+    "n_tasks": ("n_tasks = 0", 1),
+    "test_per_class": ("test_per_class = 0", 1),
+}
+
+
+def test_every_config_key_has_an_invalid_case_or_a_reason():
+    assert not INVALID.keys() & ANY_VALUE.keys()
+    assert INVALID.keys() | ANY_VALUE.keys() == set(cli.SCHEMA), \
+        "every config key needs an INVALID case or an ANY_VALUE reason"
+
+
+@pytest.mark.parametrize("key", sorted(INVALID))
+def test_invalid_setting_is_rejected_cleanly(tmp_path, capsys, monkeypatch, key):
+    monkeypatch.chdir(tmp_path)
+    text, expected = INVALID[key]
+    code = cli.main(["run", write_cfg(tmp_path, text + "\n")])
+    assert_rejected_cleanly(tmp_path, code, capsys.readouterr().err, expected)
+
+
+@pytest.mark.parametrize("values", ["0.5, 0.5000001", "0.5, 0.5"])
+def test_sweep_points_sharing_a_report_name_are_rejected(tmp_path, capsys,
+                                                         monkeypatch, values):
+    monkeypatch.chdir(tmp_path)
+    path = write_cfg(tmp_path, f"method = ours\nsweep_alpha = {values}\n")
+    assert cli.main(["run", path]) == 1
+    err = capsys.readouterr().err
+    first, second = values.split(", ")
+    assert err.startswith("config error:")
+    assert f"{first} and {second}" in err
+    assert "ours-alpha0.5-rep0.report.jsonl" in err
     assert not (tmp_path / "reports").exists()
 
 
@@ -326,6 +408,28 @@ def test_plot_data_rejects_inconsistent_groups(tmp_path, capsys):
     assert cli.main(["plot-data", str(tmp_path / "in")]) == 2
     err = capsys.readouterr().err
     assert "inconsistent configs" in err and "tau" in err
+
+
+def _malformed(edit):
+    raw = json.loads(to_json(fake_report("ours", 0, 0.5, alpha=0.1)))
+    raw.update(edit)
+    return json.dumps(raw)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("[1]", "JSON object"),
+    (_malformed({"accuracy": []}), "at least one accuracy row"),
+    (_malformed({"label_fraction": 2}), "label fraction out of range"),
+    (_malformed({"accuracy": [[1.2, 1.2]], "final_avg": 1.2}), "[0, 1]"),
+    (_malformed({"accuracy": [[0.5], [0.5, 0.5]]}), "equal width"),
+], ids=["not_an_object", "empty_accuracy", "label_fraction_above_one",
+        "accuracy_above_one", "ragged_rows"])
+def test_malformed_report_line_is_data_error(tmp_path, capsys, line, message):
+    (tmp_path / "in").mkdir()
+    (tmp_path / "in" / "r0.report.jsonl").write_text(line + "\n")
+    assert cli.main(["plot-data", str(tmp_path / "in")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and message in err
 
 
 def test_plot_data_empty_dir_errors(tmp_path, capsys):

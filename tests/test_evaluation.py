@@ -1,4 +1,4 @@
-"""NCM classifier and accuracy bookkeeping."""
+"""NCM classifier and head accuracy."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 import reference
 from semicon.errors import DataError
 from semicon.evaluation import (
-    AccuracyMatrix,
     ClassMeans,
     class_means,
     evaluate,
@@ -231,28 +230,6 @@ def test_chance_level_on_unstructured_latents():
     buf = make_memory(feats[:200], labels[:200])
     row, _ = evaluate(enc, buf, (LabeledDataset(feats[200:], labels[200:]),))
     assert abs(row[0] - 1 / n_classes) < 0.12
-
-
-# ---------------------------------------------------------------------------
-# accuracy matrix
-# ---------------------------------------------------------------------------
-
-def test_accuracy_matrix_final_avg():
-    m = AccuracyMatrix()
-    m.add_row([0.9, 0.1])
-    m.add_row([0.8, 0.6])
-    assert m.final_avg == pytest.approx(0.7)
-
-
-def test_accuracy_matrix_validation():
-    m = AccuracyMatrix()
-    with pytest.raises(ValueError, match="0, 1"):
-        m.add_row([1.2])
-    m.add_row([0.5, 0.5])
-    with pytest.raises(ValueError, match="equal width"):
-        m.add_row([0.5])
-    with pytest.raises(ValueError, match="no evaluation rows"):
-        AccuracyMatrix().final_avg
 
 
 # ---------------------------------------------------------------------------
