@@ -44,12 +44,6 @@ class ConvSpec:
     out_dim: int = 160
 
 
-@dataclass(frozen=True)
-class HeadSpec:
-    in_dim: int
-    out_dim: int = 128
-
-
 def bind(tape: Tape, params: Mapping[str, np.ndarray]) -> dict[str, Var]:
     """Register parameters as tape leaves, in sorted-name order."""
     return {name: tape.param(params[name]) for name in sorted(params)}
@@ -115,14 +109,9 @@ class Encoder:
 
 @dataclass
 class ProjectionHead:
-    spec: HeadSpec
     params: dict[str, np.ndarray]
 
     def apply(self, bound: Mapping[str, Var], h: Var) -> Var:
-        if h.shape[1] != self.spec.in_dim:
-            raise ShapeError(
-                f"projection head expects (batch, {self.spec.in_dim}), got {h.shape}"
-            )
         hidden = ad.relu(_linear(h, bound, "proj/w1", "proj/b1"))
         return ad.l2_normalize_rows(_linear(hidden, bound, "proj/w2", "proj/b2"))
 
@@ -160,15 +149,13 @@ def init_params(seed: int, spec: MlpSpec | ConvSpec,
     enc = Encoder(spec, params)
 
     hidden = spec.out_dim if head_hidden is None else head_hidden
-    head_spec = HeadSpec(spec.out_dim, proj_dim)
     head_params = {
-        "proj/w1": _uniform_fan_in(rng, head_spec.in_dim,
-                                   (head_spec.in_dim, hidden)),
+        "proj/w1": _uniform_fan_in(rng, spec.out_dim, (spec.out_dim, hidden)),
         "proj/b1": np.zeros((1, hidden)),
         "proj/w2": _uniform_fan_in(rng, hidden, (hidden, proj_dim)),
         "proj/b2": np.zeros((1, proj_dim)),
     }
-    return enc, ProjectionHead(head_spec, head_params)
+    return enc, ProjectionHead(head_params)
 
 
 def encode(enc: Encoder, batch: np.ndarray) -> np.ndarray:

@@ -1,13 +1,13 @@
-"""Training strategies over one shared stream/memory/eval harness.
+"""Training strategies over one shared stream/memory/eval loop.
 
-Seven methods act on the same single-pass stream, through two loops.
-The replay loop serves the five memory methods: the contrastive group
-(ours, scr, scr-mo) trains encoder + projection head on a multiview
-batch, er and er-mo train encoder + linear head on raw features.
-Per-iteration order follows the online protocol strictly: retrieve
-memory, SGD step, then offer the stream batch to the reservoir, so a
-batch can never replay itself. The head-only loop serves finetune and
-offline, which train encoder + linear head with no memory.
+Seven methods train on the same stream, through one loop in `run`.
+The contrastive group (ours, scr, scr-mo) trains encoder + projection
+head on a multiview batch; er, er-mo, finetune and offline train
+encoder + linear head on raw features. The five memory methods follow
+the online protocol strictly: retrieve memory, SGD step, then offer the
+stream batch to the reservoir, so a batch can never replay itself.
+finetune is er without memory, and offline is finetune over cfg.epochs
+shuffled passes of the whole training set, scored once.
 
 Label accounting: the -mo methods and ours obtain labels only through
 reservoir insertion (budgeted, p = oracle calls / N). scr, er, finetune
@@ -135,75 +135,6 @@ def _init_seed(rngs: dict) -> int:
     return int(rngs["init"].integers(0, 2**63 - 1))
 
 
-class _Harness:
-    """Shared plumbing: parameter updates, step/loss accounting, eval."""
-
-    def __init__(self, cfg: TrainConfig, stream: TaskStream):
-        if cfg.stream_batch != stream.batch_size:
-            raise ConfigError(
-                f"config stream_batch {cfg.stream_batch} != "
-                f"stream batch size {stream.batch_size}"
-            )
-        if not stream.test_sets:
-            raise ConfigError("the stream has no test sets to score the run on")
-        self.started = time.perf_counter()
-        self.cfg = cfg
-        self.stream = stream
-        # row k: accuracy on each test set after task k
-        self.rows: list[list[float]] = []
-        self.steps = 0
-        self.trace: list[float] = []
-        self.missing: list[int] = []
-
-    def step(self, params: dict[str, np.ndarray],
-             forward: Callable[[dict[str, ad.Var], ad.Tape], ad.Var],
-             task: int | None) -> float:
-        """One SGD step on `params` through a traced forward computation.
-
-        A non-finite loss stops the run before the update is applied;
-        `task` is None for the offline passes over every task at once.
-        """
-        tape = ad.Tape()
-        bound = bind(tape, params)
-        loss = forward(bound, tape)
-        value = float(loss.data)
-        if not isfinite(value):
-            where = "all tasks" if task is None else f"task {task}"
-            raise NumericError(
-                f"{self.cfg.method}: loss {value} at step {self.steps + 1} "
-                f"({where}); the run diverged"
-            )
-        grads = ad.grads_for(ad.backward(loss), [bound[n] for n in sorted(params)])
-        ad.sgd_step([params[n] for n in sorted(params)], grads,
-                    self.cfg.learning_rate)
-        return self._count(value)
-
-    def _count(self, loss: float) -> float:
-        self.steps += 1
-        if self.cfg.loss_trace:
-            self.trace.append(loss)
-        return loss
-
-    def skip_step(self) -> float:
-        """Counted step with nothing to train on (empty batch)."""
-        return self._count(0.0)
-
-    def report(self, *, oracle_calls: int,
-               head_row: list[float] | None) -> RunReport:
-        return RunReport(
-            config=asdict(self.cfg),
-            accuracy=self.rows,
-            final_avg=float(np.mean(self.rows[-1])),
-            oracle_calls=oracle_calls,
-            label_fraction=oracle_calls / self.stream.n_samples,
-            steps=self.steps,
-            missing_classes=self.missing,
-            head_accuracy=head_row,
-            loss_trace=self.trace if self.cfg.loss_trace else None,
-            wall_clock=time.perf_counter() - self.started,
-        )
-
-
 def _head_init(rngs: dict, latent_dim: int, n_classes: int) -> dict[str, np.ndarray]:
     bound = 1.0 / np.sqrt(latent_dim)
     return {
@@ -246,19 +177,64 @@ def _stream_labels(stream: TaskStream, ids: np.ndarray) -> np.ndarray:
     return stream.oracle.label(ids)
 
 
-def _train_replay(cfg: TrainConfig, stream: TaskStream,
-                  model: MlpSpec | ConvSpec):
-    """ours, scr, scr-mo, er and er-mo: one online pass with replay.
+def _schedule(cfg: TrainConfig, stream: TaskStream, rng: np.random.Generator):
+    """(task index, batches of source ids) for each point the run is
+    scored at: every task in turn, or for offline a single point of
+    cfg.epochs shuffled passes over the whole training set (task None)."""
+    if cfg.method != "offline":
+        for task, batches in stream.iter_tasks():
+            yield task.index, batches
+        return
+    n, size = len(stream.data), cfg.stream_batch
+    yield None, (order[start:start + size]
+                 for order in (rng.permutation(n) for _ in range(cfg.epochs))
+                 for start in range(0, n, size))
 
-    Each step trains on a memory batch, joined by the stream batch for
-    ours (unlabeled), scr and er (labeled by direct lookup); the stream
-    batch is offered to the reservoir only after the step. The
-    contrastive methods train a projection head on two views per
-    sample, the others a linear head by cross entropy. Every method is
-    scored by NCM over memory after each task.
+
+def _step(params: dict[str, np.ndarray],
+          forward: Callable[[dict[str, ad.Var], ad.Tape], ad.Var],
+          cfg: TrainConfig, step: int, task: int | None) -> float:
+    """SGD step number `step` on `params` through a traced forward
+    computation. A non-finite loss stops the run before the update is
+    applied; `task` is None for the offline pass over every task at once.
     """
-    harness = _Harness(cfg, stream)
-    memory = MemoryBuffer(cfg.mem_size, stream.data.features)
+    tape = ad.Tape()
+    bound = bind(tape, params)
+    loss = forward(bound, tape)
+    value = float(loss.data)
+    if not isfinite(value):
+        where = "all tasks" if task is None else f"task {task}"
+        raise NumericError(
+            f"{cfg.method}: loss {value} at step {step} ({where}); the run diverged"
+        )
+    grads = ad.grads_for(ad.backward(loss), [bound[n] for n in sorted(params)])
+    ad.sgd_step([params[n] for n in sorted(params)], grads, cfg.learning_rate)
+    return value
+
+
+def run(cfg: TrainConfig, stream: TaskStream,
+        model: MlpSpec | ConvSpec) -> tuple[Encoder, MemoryBuffer | None, RunReport]:
+    """Train cfg.method on the stream. A stream without test sets is
+    rejected before the first step: nothing could score it.
+
+    Each step trains on a memory batch, when the method has a memory,
+    joined by the stream batch for ours (unlabeled) and the supervised
+    methods (labeled by direct lookup); the stream batch is offered to
+    the reservoir only after the step. The contrastive methods train a
+    projection head on two views per sample, the others a linear head by
+    cross entropy. A run with memory is scored by NCM over memory after
+    each task, a run without by its head.
+    """
+    if cfg.stream_batch != stream.batch_size:
+        raise ConfigError(
+            f"config stream_batch {cfg.stream_batch} != "
+            f"stream batch size {stream.batch_size}"
+        )
+    if not stream.test_sets:
+        raise ConfigError("the stream has no test sets to score the run on")
+    started = time.perf_counter()
+    memory = (MemoryBuffer(cfg.mem_size, stream.data.features)
+              if cfg.method in MEMORY_METHODS else None)
     rngs = _spawn_rngs(cfg.seed)
     enc, proj = init_params(_init_seed(rngs), model)
     contrastive = cfg.method in CONTRASTIVE_METHODS
@@ -269,86 +245,67 @@ def _train_replay(cfg: TrainConfig, stream: TaskStream,
         params = {**enc.params,
                   **_head_init(rngs, enc.out_dim, _n_classes(stream))}
 
-    for task, batches in stream.iter_tasks():
+    def head_scores():
+        return head_accuracy(enc, params["head/w"], params["head/b"][0],
+                             stream.test_sets)
+
+    # row k: accuracy on each test set after schedule item k
+    rows: list[list[float]] = []
+    missing: list[int] = []
+    trace: list[float] = []
+    steps = 0
+    for task, batches in _schedule(cfg, stream, rngs["shuffle"]):
         for b_s in batches:
-            ids, labels = retrieve(memory, cfg.mem_batch, rngs["retrieval"])
+            if memory is None:
+                ids = labels = np.empty(0, dtype=np.int64)
+            else:
+                ids, labels = retrieve(memory, cfg.mem_batch, rngs["retrieval"])
             if cfg.method == "ours":
                 ids = np.concatenate([ids, b_s])
                 labels = np.concatenate([labels, np.full(len(b_s), -1)])
             elif cfg.method in SUPERVISED_METHODS:
                 ids = np.concatenate([ids, b_s])
                 labels = np.concatenate([labels, _stream_labels(stream, b_s)])
-            if not len(ids):
-                harness.skip_step()
+            steps += 1
+            if not len(ids):  # nothing to train on yet: a counted step
+                loss = 0.0
             elif contrastive:
                 views, idx = make_multiview(stream.data.features[ids], labels,
                                             rngs["augment"])
-                harness.step(params, _contrastive_forward(
-                    enc, proj, views, idx, loss_cfg), task.index)
+                loss = _step(params, _contrastive_forward(
+                    enc, proj, views, idx, loss_cfg), cfg, steps, task)
             else:
-                harness.step(params, _ce_forward(enc, stream.data.features[ids],
-                                                 labels), task.index)
-            reservoir_update_batch(memory, b_s, stream.oracle, rngs["reservoir"])
-        row, harness.missing = evaluate(enc, memory, stream.test_sets)
-        harness.rows.append(row)
+                loss = _step(params, _ce_forward(
+                    enc, stream.data.features[ids], labels), cfg, steps, task)
+            if cfg.loss_trace:
+                trace.append(loss)
+            if memory is not None:
+                reservoir_update_batch(memory, b_s, stream.oracle, rngs["reservoir"])
+        if memory is None:
+            rows.append(head_scores())
+        else:
+            row, missing = evaluate(enc, memory, stream.test_sets)
+            rows.append(row)
 
-    head_row = None if contrastive else head_accuracy(
-        enc, params["head/w"], params["head/b"][0], stream.test_sets)
-    supervised = cfg.method in SUPERVISED_METHODS
-    report = harness.report(
-        oracle_calls=stream.n_samples if supervised else memory.oracle_calls,
-        head_row=head_row,
+    if contrastive:
+        head_row = None
+    else:
+        head_row = rows[-1] if memory is None else head_scores()
+    oracle_calls = (stream.n_samples if cfg.method in SUPERVISED_METHODS
+                    else memory.oracle_calls)
+    report = RunReport(
+        config=asdict(cfg),
+        accuracy=rows,
+        final_avg=float(np.mean(rows[-1])),
+        oracle_calls=oracle_calls,
+        label_fraction=oracle_calls / stream.n_samples,
+        steps=steps,
+        missing_classes=missing,
+        head_accuracy=head_row,
+        loss_trace=trace if cfg.loss_trace else None,
+        wall_clock=time.perf_counter() - started,
     )
     return enc, memory, report
-
-
-def _train_head_only(cfg: TrainConfig, stream: TaskStream,
-                     model: MlpSpec | ConvSpec):
-    """finetune and offline: cross entropy on stream labels, no memory.
-
-    finetune makes one pass over the stream and is scored by its head
-    after each task; offline, the upper reference, makes cfg.epochs
-    shuffled passes over the whole training set and is scored once.
-    """
-    harness = _Harness(cfg, stream)
-    rngs = _spawn_rngs(cfg.seed)
-    enc, _ = init_params(_init_seed(rngs), model)
-    params = {**enc.params, **_head_init(rngs, enc.out_dim, _n_classes(stream))}
-
-    def score():
-        harness.rows.append(head_accuracy(
-            enc, params["head/w"], params["head/b"][0], stream.test_sets))
-
-    def train_on(ids, task):
-        harness.step(params, _ce_forward(enc, stream.data.features[ids],
-                                         _stream_labels(stream, ids)), task)
-
-    if cfg.method == "finetune":
-        for task, batches in stream.iter_tasks():
-            for b_s in batches:
-                train_on(b_s, task.index)
-            score()
-    else:
-        n = len(stream.data)
-        for _ in range(cfg.epochs):
-            order = rngs["shuffle"].permutation(n)
-            for start in range(0, n, cfg.stream_batch):
-                train_on(order[start:start + cfg.stream_batch], None)
-        score()
-
-    report = harness.report(oracle_calls=stream.n_samples,
-                            head_row=harness.rows[-1])
-    return enc, None, report
-
-
-def run(cfg: TrainConfig, stream: TaskStream,
-        model: MlpSpec | ConvSpec) -> tuple[Encoder, MemoryBuffer | None, RunReport]:
-    """Train cfg.method on the stream: replay for the memory methods,
-    head-only training for finetune and offline. A stream without test
-    sets is rejected before the first step: nothing could score it."""
-    if cfg.method in MEMORY_METHODS:
-        return _train_replay(cfg, stream, model)
-    return _train_head_only(cfg, stream, model)
 
 
 def expected_steps(cfg: TrainConfig, stream: TaskStream) -> int:

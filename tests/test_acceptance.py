@@ -39,12 +39,12 @@ def random_batch(rng, *, kind="mixed", max_sources=8, max_dim=16):
     if kind == "labeled":
         source_labels = [int(v) for v in rng.integers(0, 3, b)]
     elif kind == "unlabeled":
-        source_labels = [None] * b
+        source_labels = [-1] * b
     else:
-        source_labels = [int(v) if v >= 0 else None
+        source_labels = [int(v) if v >= 0 else -1
                          for v in rng.integers(-2, 3, b)]
         source_labels[0] = 0  # at least one labeled and one unlabeled
-        source_labels[1] = None
+        source_labels[1] = -1
     idx = MultiviewIndex.from_sources(source_labels)
     z = rng.normal(size=(2 * b, d))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
@@ -115,8 +115,7 @@ def test_3_gradients_match_finite_differences():
                                 head_hidden=head_hidden,
                                 proj_dim=int(rng.integers(4, 7)))
         b = int(rng.integers(2, 4))
-        source_labels = [0, None] + [int(v) if v >= 0 else None
-                                     for v in rng.integers(-1, 2, b - 2)]
+        source_labels = [0, -1] + [int(v) for v in rng.integers(-1, 2, b - 2)]
         idx = MultiviewIndex.from_sources(source_labels)
         mask = build_masks(idx)
         cfg = LossConfig(tau=float(rng.uniform(0.2, 1.0)),

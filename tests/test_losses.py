@@ -28,7 +28,7 @@ def random_batch(seed, b_l, b_u, n_classes=3, d=4):
     """Multiview batch with unit-norm projections in the standard layout."""
     rng = np.random.default_rng(seed)
     source_labels = [int(rng.integers(n_classes)) for _ in range(b_l)]
-    source_labels += [None] * b_u
+    source_labels += [-1] * b_u
     idx = MultiviewIndex.from_sources(source_labels)
     return unit_rows(rng, 2 * (b_l + b_u), d), idx
 
@@ -38,7 +38,7 @@ def random_batch(seed, b_l, b_u, n_classes=3, d=4):
 # ---------------------------------------------------------------------------
 
 def test_from_sources_layout():
-    idx = MultiviewIndex.from_sources([0, 1, None])
+    idx = MultiviewIndex.from_sources([0, 1, -1])
     assert idx.n_views == 6
     assert np.array_equal(idx.pair, [3, 4, 5, 0, 1, 2])
     assert np.array_equal(idx.labeled, [True, True, False] * 2)
@@ -69,7 +69,7 @@ def test_mask_two_sources_same_class():
 
 def test_mask_mixed_batch_hand_enumerated():
     # sources: one labeled (views 0, 2), one unlabeled (views 1, 3)
-    idx = MultiviewIndex.from_sources([7, None])
+    idx = MultiviewIndex.from_sources([7, -1])
     expected = np.zeros((4, 4), dtype=bool)
     expected[0, 2] = expected[2, 0] = True  # labeled anchors: same-class views
     expected[1, 3] = expected[3, 1] = True  # unlabeled anchors: their pair
@@ -130,7 +130,7 @@ def test_loss_mem_identical_projections(b_l):
 
 @pytest.mark.parametrize("b_u", [2, 4])
 def test_loss_unlab_identical_projections(b_u):
-    idx = MultiviewIndex.from_sources([None] * b_u)
+    idx = MultiviewIndex.from_sources([-1] * b_u)
     z = np.tile(unit_rows(np.random.default_rng(4), 1, 6), (2 * b_u, 1))
     val = losses.loss_unlab(z, idx, LossConfig())
     assert val == pytest.approx(2 * b_u * math.log(2 * b_u - 1), rel=1e-12)
@@ -169,7 +169,7 @@ def test_cross_entropy_label_out_of_range():
 def test_loss_mem_matches_oracle_mixed_batch():
     # 2 labeled sources of the same class plus 1 unlabeled source
     rng = np.random.default_rng(10)
-    idx = MultiviewIndex.from_sources([1, 1, None])
+    idx = MultiviewIndex.from_sources([1, 1, -1])
     z = unit_rows(rng, 6, 4)
     got = losses.loss_mem(z, idx, build_masks(idx), LossConfig(tau=0.07))
     want = reference.loss_mem(z, idx.labeled, idx.labels, 0.07)
@@ -384,7 +384,7 @@ def test_var_and_array_paths_agree():
 
 def test_semicon_gradient_matches_finite_differences():
     raw = np.random.default_rng(66).normal(size=(8, 4))
-    idx = MultiviewIndex.from_sources([0, 1, None, None])
+    idx = MultiviewIndex.from_sources([0, 1, -1, -1])
     mask = build_masks(idx)
     cfg = LossConfig(alpha=0.7)
 

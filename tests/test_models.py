@@ -49,11 +49,13 @@ def test_zero_weight_encoder_maps_to_zero():
 
 
 def test_encode_row_count_and_shape_errors():
-    enc, _ = models.init_params(3, MLP)
+    enc, proj = models.init_params(3, MLP)
     h = models.encode(enc, np.ones((7, 6)))
     assert h.shape == (7, 5)
     with pytest.raises(ShapeError):
         models.encode(enc, np.ones((7, 4)))
+    with pytest.raises(ShapeError, match="matmul"):  # latent of the wrong width
+        project(proj, np.ones((7, 4)))
 
 
 def test_encode_bit_identical_across_runs():
@@ -64,7 +66,6 @@ def test_encode_bit_identical_across_runs():
 
 def test_projection_rows_unit_norm_and_default_width():
     enc, proj = models.init_params(2, models.MlpSpec(in_dim=4, hidden=(6,), out_dim=8))
-    assert proj.spec.out_dim == 128
     h = models.encode(enc, np.random.default_rng(2).normal(size=(5, 4)))
     z = project(proj, h)
     assert z.shape == (5, 128)
@@ -74,7 +75,7 @@ def test_projection_rows_unit_norm_and_default_width():
 def test_projection_zero_rows_pass_through():
     _, proj = models.init_params(4, MLP)
     z = project(proj, np.zeros((3, 5)))
-    assert np.array_equal(z, np.zeros((3, proj.spec.out_dim)))
+    assert np.array_equal(z, np.zeros((3, 128)))
 
 
 def test_conv_encoder_shapes():

@@ -101,10 +101,15 @@ def test_config_rejects_memory_batch_larger_than_memory():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_diverging_loss_stops_the_run():
+@pytest.mark.parametrize("method, where", [
+    ("er", r"task \d"),
+    ("offline", "all tasks"),  # the one pass over every task at once
+], ids=["er", "offline"])
+def test_diverging_loss_stops_the_run(method, where):
     stream = small_stream(seed=5)
-    with pytest.raises(NumericError, match=r"er: loss .* at step \d+ \(task \d\)"):
-        run(cfg_for("er", seed=1, learning_rate=1e18), stream, MODEL)
+    with pytest.raises(NumericError,
+                       match=rf"^{method}: loss .* at step \d+ \({where}\)"):
+        run(cfg_for(method, seed=1, learning_rate=1e18), stream, MODEL)
 
 
 def test_stream_batch_mismatch_rejected():
@@ -119,8 +124,7 @@ def test_stream_without_test_sets_rejected_before_training(method, monkeypatch):
     base = small_stream(seed=2)
     stream = split_dataset(base.data, 2, seed=2, batch_size=5)
     steps = []
-    monkeypatch.setattr(trainers._Harness, "step",
-                        lambda self, *a: steps.append(a))
+    monkeypatch.setattr(ad, "backward", lambda *a: steps.append(a))
     with pytest.raises(ConfigError, match="no test sets"):
         run(cfg_for(method), stream, MODEL)
     assert steps == []
