@@ -306,26 +306,35 @@ def maxpool2d(a: Var, p: int) -> Var:
     """Max over non-overlapping p x p windows of an NHWC tensor.
 
     Trailing rows and columns that fill no window are dropped. The
-    gradient goes to the first maximum of each window in row-major order.
+    output is a running maximum over the strided views of the p*p window
+    offsets (i, j) in row-major order, so no window is copied; a NaN
+    anywhere in a window makes its output NaN. On a tie `np.maximum`
+    keeps its second operand, so the running maximum is passed second and
+    a -0.0 / 0.0 tie keeps the earlier value, sign bit included
+    (`test_maxpool2d_routes_ties_to_first_maximum[signed_zero]` pins
+    this). The gradient goes to the first maximum of each window in
+    row-major order.
     """
     _require_4d("maxpool2d", a)
     n, h, w, c = a.shape
     ph, pw = h // p, w // p
     if p < 1 or ph < 1 or pw < 1:
         raise ShapeError(f"maxpool2d: no {p}x{p} window in shape {a.shape}")
-    cropped = a.data[:, :ph * p, :pw * p]
-    windows = (cropped.reshape(n, ph, p, pw, p, c).transpose(0, 1, 3, 5, 2, 4)
-               .reshape(n, ph, pw, c, p * p))
-    first = windows.argmax(axis=-1)[..., None]
-    out = np.take_along_axis(windows, first, axis=-1)[..., 0]
+    views = a.data[:, :ph * p, :pw * p].reshape(n, ph, p, pw, p, c)
+    offsets = [(i, j) for i in range(p) for j in range(p)]
+    out = views[:, :, 0, :, 0].copy()
+    for i, j in offsets[1:]:
+        np.maximum(views[:, :, i, :, j], out, out=out)  # out second: it wins ties
     in_shape = a.shape
 
     def vjp(g: Array):
-        routed = np.where(np.arange(p * p) == first, g[..., None], 0.0)
         ga = np.zeros(in_shape)
-        ga[:, :ph * p, :pw * p] = (routed.reshape(n, ph, pw, c, p, p)
-                                   .transpose(0, 1, 4, 2, 5, 3)
-                                   .reshape(n, ph * p, pw * p, c))
+        gv = ga[:, :ph * p, :pw * p].reshape(n, ph, p, pw, p, c)
+        free = np.ones(out.shape, dtype=bool)
+        for i, j in offsets:
+            hit = free & (views[:, :, i, :, j] == out)
+            gv[:, :, i, :, j] = np.where(hit, g, 0.0)
+            free &= ~hit
         return (ga,)
 
     return _record("maxpool2d", (a,), out, vjp)

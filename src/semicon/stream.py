@@ -268,6 +268,8 @@ def make_synthetic(
     """
     if n_classes < 1 or per_class < 1 or test_per_class < 1 or dim < 1:
         raise ConfigError("class and sample counts and dim must be >= 1")
+    if not np.isfinite(separation):
+        raise ConfigError(f"separation must be finite, got {separation}")
     seed_seq = np.random.SeedSequence(seed)
     mean_rng, data_rng, split_seed = seed_seq.spawn(3)
     rng = np.random.default_rng(mean_rng)

@@ -241,6 +241,42 @@ def test_maxpool2d_routes_ties_to_first_maximum(case):
     assert np.array_equal(grads[xv.idx], want)
 
 
+@pytest.mark.parametrize("slot", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_maxpool2d_passes_nan_through(slot):
+    # a NaN must reach the loss, so the trainer's non-finite check fires
+    x = np.array([[1.0, 2.0, 5.0, 6.0],
+                  [3.0, 4.0, 7.0, 8.0]])[None, :, :, None]
+    x[(0, *slot, 0)] = np.nan
+    out = ad.maxpool2d(ad.Tape().const(x), 2)
+    assert np.isnan(out.data[0, 0, 0, 0])
+    assert out.data[0, 0, 1, 0] == 8.0
+
+
+@pytest.mark.parametrize("p, h, w", [(1, 5, 3), (2, 7, 5), (3, 8, 7), (3, 11, 9)])
+def test_maxpool2d_matches_gather_row_max_bitwise(p, h, w):
+    rng = np.random.default_rng(100 * p + h)
+    n, c = 3, 2
+    # ReLU of a shifted normal: most entries are zero, so whole windows tie
+    x = np.maximum(rng.normal(size=(n, h, w, c)) - 1.0, 0.0)
+    g = rng.normal(size=(n, h // p, w // p, c))
+
+    def pool_and_grad(pool):
+        tape = ad.Tape()
+        xv = tape.param(x)
+        out = pool(xv)
+        grads = ad.backward(ad.total_sum(ad.mul(out, tape.const(g))))
+        return out.data, grads[xv.idx]
+
+    out, grad = pool_and_grad(lambda a: ad.maxpool2d(a, p))
+    ref_out, ref_grad = pool_and_grad(lambda a: ad.reshape(
+        ad.row_max(ad.gather(a, reference.pool_window_indices(n, h, w, c, p))),
+        g.shape))
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(grad, ref_grad)
+    if p > 1:
+        assert np.any(out == 0.0)  # some window is all zeros, a p*p-way tie
+
+
 def test_tape_replay_deterministic():
     def run():
         rng = np.random.default_rng(42)

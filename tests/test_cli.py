@@ -243,7 +243,7 @@ INVALID = {
     "sweep_mem_batch": ("sweep_mem_batch = 10, 0", 1),
     "n_classes": ("n_classes = 0", 1),
     "dim": ("dim = 0", 1),
-    "separation": ("separation = nan", 2),
+    "separation": ("separation = nan", 1),
     "per_class": ("per_class = 0", 1),
     "n_tasks": ("n_tasks = 0", 1),
     "test_per_class": ("test_per_class = 0", 1),

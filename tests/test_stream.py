@@ -309,3 +309,9 @@ def test_synthetic_separation_large_separates_classes():
     feats, labels = stream.data.features, stream.oracle.labels
     gap = np.linalg.norm(feats[labels == 0].mean(0) - feats[labels == 1].mean(0))
     assert gap > 5.0
+
+
+@pytest.mark.parametrize("separation", [np.nan, np.inf, -np.inf])
+def test_synthetic_rejects_non_finite_separation(separation):
+    with pytest.raises(ConfigError, match="separation"):
+        make_synthetic(4, 8, separation, 10, 2, seed=0)
