@@ -2,12 +2,18 @@
 
 A ``Tape`` records one forward computation as an append-only list of
 primitive ops (define-by-run); ``backward`` replays it in reverse to
-accumulate gradients. Tensors are plain ``numpy.float64`` arrays, so the
-cached forward value of every node is available eagerly.
+accumulate gradients. Tensors are plain ``numpy.float64`` arrays, and
+each ``Var`` holds its own value, so the forward value of every node is
+available eagerly.
 
-The tape is rebuilt on every training step and confined to a single
-thread; apart from ``sgd_step`` (which mutates its own parameter arrays
-in place) everything here is a pure function of its inputs.
+A ``Tape(record=False)`` runs the same primitives but appends no node:
+each intermediate array dies with its ``Var``, and ``backward`` and
+``grads_for`` refuse it. ``models.encode`` evaluates on such tapes.
+
+A tape is confined to the thread that made it; threads that compute at
+once each use their own tape. Apart from ``sgd_step`` (which mutates its
+own parameter arrays in place) everything here is a pure function of its
+inputs.
 
 No vjp closure holds a ``Var``, so a tape is never part of a reference
 cycle: it is freed by reference count the moment its step (or its
@@ -20,9 +26,9 @@ Freeing a whole tape at once empties the top of the heap every step.
 With glibc's default dynamic thresholds, the allocator then returns
 those pages to the OS and the next step faults them back in, which
 costs more than the step's arithmetic on small models. So on import
-this module fixes the process's own glibc allocator thresholds
-(``_keep_heap_warm``); where there is no ``mallopt`` (not glibc) it
-does nothing.
+this module fixes the process's own glibc allocator thresholds, and
+keeps every thread on the one main heap (``_keep_heap_warm``); where
+there is no ``mallopt`` (not glibc) it does nothing.
 """
 
 from __future__ import annotations
@@ -51,34 +57,29 @@ class _Node:
     # maps the gradient at this node to gradients of the parents (None
     # in a slot whose parent needs no gradient); None for leaves
     vjp: Callable[[Array], tuple[Array | None, ...]] | None
-    # depends on a param; set by Tape._append
-    needs_grad: bool = False
+    needs_grad: bool  # depends on a param
 
 
 class Var:
-    """Handle to one node on a tape."""
+    """One value computed on a tape, and its node there (``idx`` is None
+    on a tape that records nothing)."""
 
-    __slots__ = ("tape", "idx")
+    __slots__ = ("tape", "idx", "data", "needs_grad")
 
-    def __init__(self, tape: "Tape", idx: int):
+    def __init__(self, tape: "Tape", idx: int | None, data: Array,
+                 needs_grad: bool):
         self.tape = tape
         self.idx = idx
-
-    @property
-    def data(self) -> Array:
-        return self.tape.nodes[self.idx].value
+        self.data = data
+        self.needs_grad = needs_grad
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def needs_grad(self) -> bool:
-        return self.tape.nodes[self.idx].needs_grad
-
     def __repr__(self) -> str:
-        node = self.tape.nodes[self.idx]
-        return f"Var(#{self.idx} {node.op} shape={self.data.shape})"
+        op = "unrecorded" if self.idx is None else self.tape.nodes[self.idx].op
+        return f"Var(#{self.idx} {op} shape={self.data.shape})"
 
 
 class Tape:
@@ -86,25 +87,29 @@ class Tape:
 
     Parent ids always precede a node, so node order is already
     topological and the backward sweep visits each node exactly once.
+    With ``record=False`` nothing is appended, so no value outlives its
+    ``Var`` and there is nothing to differentiate.
     """
 
-    def __init__(self):
+    def __init__(self, record: bool = True):
+        self.record = record
         self.nodes: list[_Node] = []
 
-    def _append(self, node: _Node) -> Var:
+    def _append(self, op: str, parents: Sequence[Var], value: Array, vjp) -> Var:
+        needs_grad = op == "param" or any(p.needs_grad for p in parents)
+        if not self.record:
+            return Var(self, None, value, needs_grad)
         nodes = self.nodes
-        node.needs_grad = node.op == "param" or any(
-            nodes[p].needs_grad for p in node.parents)
-        nodes.append(node)
-        return Var(self, len(nodes) - 1)
+        nodes.append(_Node(op, tuple(p.idx for p in parents), value, vjp, needs_grad))
+        return Var(self, len(nodes) - 1, value, needs_grad)
 
     def param(self, data) -> Var:
         """Record a trainable leaf."""
-        return self._append(_Node("param", (), as_f64(data), None))
+        return self._append("param", (), as_f64(data), None)
 
     def const(self, data) -> Var:
         """Record a non-trainable leaf (inputs, masks)."""
-        return self._append(_Node("const", (), as_f64(data), None))
+        return self._append("const", (), as_f64(data), None)
 
 
 def _record(op: str, parents: Sequence[Var], value: Array, vjp) -> Var:
@@ -112,7 +117,12 @@ def _record(op: str, parents: Sequence[Var], value: Array, vjp) -> Var:
     for p in parents[1:]:
         if p.tape is not tape:
             raise ShapeError(f"{op}: operands recorded on different tapes")
-    return tape._append(_Node(op, tuple(p.idx for p in parents), value, vjp))
+    return tape._append(op, parents, value, vjp)
+
+
+def _require_recorded(op: str, tape: Tape) -> None:
+    if not tape.record:
+        raise ShapeError(f"{op}: the tape records nothing, so it has no gradients")
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -376,10 +386,11 @@ def backward(root: Var) -> dict[int, Array]:
     entry and their vjps never run. Leaves the tape untouched; raises on
     a non-scalar root.
     """
+    _require_recorded("backward", root.tape)
     if root.data.size != 1:
         raise ShapeError(f"backward: root must be scalar, got shape {root.shape}")
     nodes = root.tape.nodes
-    grads: dict[int, Array] = {root.idx: np.ones_like(nodes[root.idx].value)}
+    grads: dict[int, Array] = {root.idx: np.ones_like(root.data)}
     for i in range(root.idx, -1, -1):
         g = grads.get(i)
         node = nodes[i]
@@ -416,6 +427,8 @@ def sgd_step(params: Sequence[Array], grads: Sequence[Array],
 
 def grads_for(grad_map: dict[int, Array], vars: Sequence[Var]) -> list[Array]:
     """Pull gradients for specific nodes, zeros where none flowed."""
+    for v in vars:
+        _require_recorded("grads_for", v.tape)
     return [grad_map.get(v.idx, np.zeros(v.shape)) for v in vars]
 
 
@@ -425,6 +438,7 @@ def grads_for(grad_map: dict[int, Array], vars: Sequence[Var]) -> list[Array]:
 
 _M_TRIM_THRESHOLD = -1  # glibc malloc.h
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 def _keep_heap_warm() -> None:
@@ -433,7 +447,9 @@ def _keep_heap_warm() -> None:
     Serves blocks of up to 32 MB (glibc's 64-bit ceiling for this
     setting) from the heap rather than from fresh mappings, and returns
     free heap top to the OS only past 1 GB. Both are set because setting
-    either one alone turns off glibc's dynamic thresholds. Does nothing
+    either one alone turns off glibc's dynamic thresholds. Allows one
+    arena, so the threads of ``models.encode`` allocate from the same
+    heap instead of each keeping an arena of its own warm. Does nothing
     where the C library has no ``mallopt``.
     """
     try:
@@ -444,6 +460,7 @@ def _keep_heap_warm() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 _keep_heap_warm()

@@ -77,6 +77,18 @@ def predict(means: ClassMeans, enc: Encoder, xs: np.ndarray) -> np.ndarray:
     return nearest_mean(means, encode(enc, xs))
 
 
+def _all_rows(test_sets: tuple[LabeledDataset, ...]):
+    """The features and labels of one or more test sets, concatenated
+    in order, and the row at which each set after the first starts."""
+    starts = np.cumsum([len(ts) for ts in test_sets])[:-1]
+    return (np.concatenate([ts.features for ts in test_sets]),
+            np.concatenate([ts.labels for ts in test_sets]), starts)
+
+
+def _per_set(hits: np.ndarray, starts: np.ndarray) -> list[float]:
+    return [float(np.mean(part)) for part in np.split(hits, starts)]
+
+
 def evaluate(
     enc: Encoder,
     memory: MemoryBuffer,
@@ -84,14 +96,16 @@ def evaluate(
 ) -> tuple[list[float], list[int]]:
     """NCM accuracy per test set, plus classes unrepresented in memory.
 
-    Test samples of an absent class can never be predicted correctly;
-    they stay in the denominator and the class is reported back.
+    All test rows are predicted in one call. Test samples of an absent
+    class can never be predicted correctly; they stay in the
+    denominator and the class is reported back.
     """
     means = fit_ncm(enc, memory)
-    row = [float(np.mean(predict(means, enc, ts.features) == ts.labels))
-           for ts in test_sets]
-    tested = np.concatenate([ts.labels for ts in test_sets] or [np.zeros(0, int)])
-    return row, np.setdiff1d(tested, means.class_ids).tolist()
+    if not test_sets:
+        return [], []
+    features, labels, starts = _all_rows(test_sets)
+    hits = predict(means, enc, features) == labels
+    return _per_set(hits, starts), np.setdiff1d(labels, means.class_ids).tolist()
 
 
 def head_accuracy(
@@ -103,10 +117,11 @@ def head_accuracy(
     """Accuracy of a linear head over encoder latents, per test set.
 
     Used by the cross-entropy baselines, whose native classifier is the
-    trained head rather than NCM over memory.
+    trained head rather than NCM over memory. All test rows are encoded
+    in one call.
     """
-    row = []
-    for ts in test_sets:
-        logits = encode(enc, ts.features) @ weight + bias
-        row.append(float(np.mean(np.argmax(logits, axis=1) == ts.labels)))
-    return row
+    if not test_sets:
+        return []
+    features, labels, starts = _all_rows(test_sets)
+    logits = encode(enc, features) @ weight + bias
+    return _per_set(np.argmax(logits, axis=1) == labels, starts)

@@ -4,7 +4,9 @@ Two desk-scale encoders: an MLP for synthetic vector streams and a small
 two-conv-block network for 32x32x3 images. The projection head is an MLP
 with one hidden layer, a ReLU, and a row-normalized output (default size
 128). Parameters live in a name -> float64 array mapping; training binds
-them onto a tape, evaluation runs the same forward on throwaway tapes.
+them onto a tape, evaluation (`encode`) runs the same forward on tapes
+that record nothing, slice by slice, with the slices of a large batch
+spread over the CPUs this process may use.
 
 Projections are L2-normalized before any similarity is taken; the head is
 dropped at test time and only encoder latents reach the classifier.
@@ -12,6 +14,8 @@ dropped at test time and only encoder latents reach the classifier.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -21,8 +25,9 @@ from . import autodiff as ad
 from .autodiff import Tape, Var
 from .errors import ShapeError
 
-# input values per encode slice: 42 CIFAR images (about 26 MB of tape),
-# or 4096 rows of width 32
+# input values per encode slice: 42 CIFAR images (about 14 MB of
+# transient arrays, most of it block 1's patch matrix), or 4096 rows of
+# width 32
 ENCODE_SLICE_VALUES = 1 << 17
 
 
@@ -159,13 +164,16 @@ def init_params(seed: int, spec: MlpSpec | ConvSpec,
 
 
 def encode(enc: Encoder, batch: np.ndarray) -> np.ndarray:
-    """Latent rows for a raw batch (throwaway tapes, no gradients kept).
+    """Latent rows for a raw batch (tapes that record nothing).
 
     A batch of more than ENCODE_SLICE_VALUES input values goes through
-    the encoder in near-equal slices, so the tape's transient memory
-    does not grow with the batch. Equal slices keep the smallest one
-    large: BLAS rounds a product of one or a few rows differently, and a
-    row's latent should not depend on the size of its batch.
+    the encoder in near-equal slices, so transient memory does not grow
+    with the batch. Equal slices keep the smallest one large: BLAS
+    rounds a product of one or a few rows differently, and a row's
+    latent should not depend on the size of its batch. The slices run
+    on a thread pool of at most one worker per usable CPU, each on its
+    own tape and into its own rows of the output; slice boundaries do
+    not depend on the worker count, so neither do the latents.
     """
     spec = enc.spec
     width = spec.in_dim if isinstance(spec, MlpSpec) else int(np.prod(spec.in_shape))
@@ -173,9 +181,27 @@ def encode(enc: Encoder, batch: np.ndarray) -> np.ndarray:
     if len(batch) <= rows:
         return _encode_slice(enc, batch)
     parts = np.array_split(batch, -(-len(batch) // rows))
-    return np.concatenate([_encode_slice(enc, part) for part in parts])
+    ends = np.cumsum([len(part) for part in parts])
+    workers = min(len(parts), _usable_cpus())
+    out = np.empty((len(batch), enc.out_dim))
+
+    def fill(first: int) -> None:
+        """Slices first, first + workers, ... into their rows of `out`."""
+        for k in range(first, len(parts), workers):
+            out[ends[k] - len(parts[k]):ends[k]] = _encode_slice(enc, parts[k])
+
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(fill, range(workers)))
+    return out
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _encode_slice(enc: Encoder, batch: np.ndarray) -> np.ndarray:
-    tape = Tape()
+    tape = Tape(record=False)
     return enc.apply(bind(tape, enc.params), tape.const(enc.prepare(batch))).data

@@ -113,6 +113,31 @@ def test_backward_rejects_non_scalar_root():
         ad.backward(ad.relu(x))
 
 
+def test_unrecorded_tape_computes_the_same_values_and_keeps_no_node():
+    rng = np.random.default_rng(3)
+    xv, wv = rng.normal(size=(4, 3)), rng.normal(size=(3, 2))
+
+    def forward(tape):
+        h = ad.matmul(tape.const(xv), tape.param(wv))
+        return ad.l2_normalize_rows(ad.relu(h))
+
+    recorded, unrecorded = ad.Tape(), ad.Tape(record=False)
+    want, got = forward(recorded), forward(unrecorded)
+    assert np.array_equal(got.data, want.data)
+    assert got.idx is None and got.needs_grad
+    assert unrecorded.nodes == [] and len(recorded.nodes) == 5
+
+
+def test_backward_and_grads_for_refuse_an_unrecorded_tape():
+    tape = ad.Tape(record=False)
+    x = tape.param(np.ones((2, 2)))
+    root = ad.total_sum(x)
+    with pytest.raises(ShapeError, match="backward"):
+        ad.backward(root)
+    with pytest.raises(ShapeError, match="grads_for"):
+        ad.grads_for({}, [x])
+
+
 def test_backward_skips_nodes_that_depend_on_no_param():
     rng = np.random.default_rng(5)
     xv, wv = rng.normal(size=(4, 3)), rng.normal(size=(3, 2))
@@ -200,7 +225,8 @@ def test_heap_setting_sets_both_glibc_thresholds(monkeypatch):
 
     monkeypatch.setattr(ad.ctypes, "CDLL", lambda name: Libc())
     ad._keep_heap_warm()
-    assert sorted(calls) == [(ad._M_MMAP_THRESHOLD, 32 << 20),
+    assert sorted(calls) == [(ad._M_ARENA_MAX, 1),
+                             (ad._M_MMAP_THRESHOLD, 32 << 20),
                              (ad._M_TRIM_THRESHOLD, 1 << 30)]
 
 

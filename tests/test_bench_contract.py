@@ -4,19 +4,23 @@ The benchmark's tracer swaps functions looked up as `vars(owner)[attr]`,
 its output checks read memory records through `MemoryBuffer.items`, and
 its loss check reads the labels and pair map of a `MultiviewIndex` and
 the settings of a `LossConfig`. A refactor that drops any of these would
-otherwise fail only the benchmark's own tests.
+otherwise fail only the benchmark's own tests. Its per-layer metrics
+count training ops as those outside an evaluation span, so ops that
+`models.encode` runs on worker threads must still land inside one.
 """
 
+import importlib
 import importlib.util
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from semicon import autodiff as ad
-from semicon import losses, trainers
-from semicon.models import MlpSpec, bind, init_params
-from semicon.stream import make_multiview, make_synthetic
+from semicon import losses, models, trainers
+from semicon.models import ConvSpec, MlpSpec, bind, init_params
+from semicon.stream import LabeledDataset, make_multiview, make_synthetic, split_dataset
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -85,3 +89,46 @@ def test_benchmark_loss_check_passes_on_a_captured_step():
     checks = load("checks")
     assert checks.check_unified_loss(captured, got) == []
     assert checks.check_unified_loss(captured, got + 1e-3)
+
+
+class ThreadTagged(list):
+    """A span column that also notes the thread that appended each entry."""
+
+    def __init__(self):
+        super().__init__()
+        self.threads = []
+        self._lock = threading.Lock()
+
+    def append(self, value):
+        with self._lock:
+            super().append(value)
+            self.threads.append(threading.get_ident())
+
+
+def test_ops_of_encode_worker_threads_trace_inside_evaluation(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    layers = importlib.import_module("layers")
+    spec = ConvSpec(in_shape=(2, 12, 12), channels=(2, 3), out_dim=5)
+    monkeypatch.setattr(models, "ENCODE_SLICE_VALUES", 3 * 2 * 12 * 12)
+    monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
+    rng = np.random.default_rng(5)
+
+    def images(per_class):
+        labels = np.repeat(np.arange(4), per_class)
+        return LabeledDataset(rng.uniform(size=(len(labels), 2, 12, 12)), labels)
+
+    stream = split_dataset(images(6), 2, seed=5, batch_size=4, test_data=images(4))
+    cfg = trainers.TrainConfig("ours", stream_batch=4, mem_size=8, mem_batch=4)
+    tracer = tracing.Tracer(tracing.LAYERS)
+    tracer.name = ThreadTagged()
+    with tracer.install():
+        trainers.run(cfg, stream, spec)
+
+    spans = tracer.spans()
+    inside = layers._in_eval(tracer.names, spans["name"], spans["parent"])
+    primitive = np.isin(spans["name"], [tracer.names.index(f"autodiff.{p}")
+                                        for p in tracing.PRIMITIVES])
+    worker = np.array(tracer.name.threads) != threading.get_ident()
+    assert (primitive & worker).any() and (primitive & ~inside).any()
+    assert inside[primitive & worker].all()

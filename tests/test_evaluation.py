@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reference
+from semicon import evaluation
 from semicon.errors import DataError
 from semicon.evaluation import (
     ClassMeans,
@@ -219,6 +220,57 @@ def test_evaluate_is_projection_independent():
     for name in proj.params:
         proj.params[name] += 100.0
     assert evaluate(enc, buf, ts) == before
+
+
+def uneven_sets(rng, dim, sizes=(7, 50, 13), n_classes=3):
+    return tuple(LabeledDataset(rng.normal(size=(n, dim)),
+                                rng.integers(0, n_classes, size=n))
+                 for n in sizes)
+
+
+def count_encodes(monkeypatch):
+    rows = []
+
+    def counted(enc, batch):
+        rows.append(len(batch))
+        return encode(enc, batch)
+
+    monkeypatch.setattr(evaluation, "encode", counted)
+    return rows
+
+
+def test_evaluate_predicts_every_test_row_in_one_call(monkeypatch):
+    enc = make_encoder(3, seed=4)
+    rng = np.random.default_rng(12)
+    buf = make_memory(rng.normal(size=(9, 3)), rng.integers(0, 3, size=9))
+    test_sets = uneven_sets(rng, 3)
+    means = fit_ncm(enc, buf)
+    alone = [float(np.mean(predict(means, enc, ts.features) == ts.labels))
+             for ts in test_sets]
+    rows = count_encodes(monkeypatch)
+    row, missing = evaluate(enc, buf, test_sets)
+    assert row == alone and missing == []
+    assert rows == [9, 70]  # the memory, then every test row at once
+
+
+def test_head_accuracy_encodes_every_test_row_in_one_call(monkeypatch):
+    enc = make_encoder(3, out_dim=4, seed=5)
+    rng = np.random.default_rng(13)
+    weight, bias = rng.normal(size=(4, 3)), rng.normal(size=3)
+    test_sets = uneven_sets(rng, 3)
+    alone = [float(np.mean(np.argmax(encode(enc, ts.features) @ weight + bias,
+                                     axis=1) == ts.labels))
+             for ts in test_sets]
+    rows = count_encodes(monkeypatch)
+    assert head_accuracy(enc, weight, bias, test_sets) == alone
+    assert rows == [70]
+
+
+def test_no_test_sets_give_empty_rows():
+    enc = make_encoder(2)
+    buf = make_memory([[1.0, 0.0], [0.0, 1.0]], [0, 1])
+    assert evaluate(enc, buf, ()) == ([], [])
+    assert head_accuracy(enc, np.zeros((6, 2)), np.zeros(2), ()) == []
 
 
 def test_chance_level_on_unstructured_latents():

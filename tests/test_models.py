@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -146,22 +148,67 @@ def test_sliced_encode_equals_one_slice(spec, monkeypatch):
     assert np.array_equal(models.encode(enc, x), whole)
 
 
+def _slice_rows(spec, monkeypatch, rows):
+    """Input shape of `spec`, with `encode` slices set to `rows` rows."""
+    in_shape = (spec.in_dim,) if isinstance(spec, models.MlpSpec) else spec.in_shape
+    monkeypatch.setattr(models, "ENCODE_SLICE_VALUES", rows * int(np.prod(in_shape)))
+    return in_shape
+
+
+@pytest.mark.parametrize("spec", [MLP, TINY_CONV])
+def test_threaded_encode_equals_serial_slices_bitwise(spec, monkeypatch):
+    enc, _ = models.init_params(8, spec)
+    in_shape = _slice_rows(spec, monkeypatch, 3)
+    x = np.random.default_rng(8).normal(size=(40, *in_shape))
+    serial = np.concatenate([models._encode_slice(enc, part)
+                             for part in np.array_split(x, 14)])
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads interleave as often as they can
+    try:
+        for workers in (1, 4):
+            monkeypatch.setattr(models, "_usable_cpus", lambda: workers)
+            assert np.array_equal(models.encode(enc, x), serial)
+            assert threading.active_count() == threads  # the pool is closed
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_concatenated_sets_encode_like_each_set_alone(monkeypatch):
+    enc, _ = models.init_params(9, MLP)
+    _slice_rows(MLP, monkeypatch, 16)  # 70 rows: 5 slices of 14
+    rng = np.random.default_rng(9)
+    sets = [rng.normal(size=(n, MLP.in_dim)) for n in (7, 50, 13)]
+    whole = models.encode(enc, np.concatenate(sets))
+    alone = np.concatenate([models.encode(enc, x) for x in sets])
+    assert np.allclose(whole, alone, rtol=1e-12, atol=0.0)
+
+
 def test_encode_memory_does_not_grow_with_batch():
     enc, _ = models.init_params(6, models.ConvSpec())
     rows = models.ENCODE_SLICE_VALUES // (3 * 32 * 32)
     x = np.random.default_rng(6).uniform(size=(2000, 3, 32, 32))
 
-    def peak(batch):
+    def peak(encode, batch):
         tracemalloc.start()
         try:
-            out = models.encode(enc, batch)
+            out = encode(enc, batch)
             return tracemalloc.get_traced_memory()[1], out.nbytes
         finally:
             tracemalloc.stop()
 
-    one_slice, _ = peak(x[:rows])
-    every_row, out_bytes = peak(x)
-    assert every_row <= one_slice + out_bytes
+    def recorded_slice(enc, batch):
+        tape = ad.Tape()
+        return enc.apply(models.bind(tape, enc.params),
+                         tape.const(enc.prepare(batch))).data
+
+    one_slice, _ = peak(models.encode, x[:rows])
+    assert one_slice < peak(recorded_slice, x[:rows])[0]
+    every_row, out_bytes = peak(models.encode, x)
+    workers = min(-(-len(x) // rows), models._usable_cpus())
+    # slices run `workers` at a time; the pool and the list of slices
+    # take some 30 KB of bookkeeping besides
+    assert every_row <= workers * one_slice + out_bytes + (64 << 10)
 
 
 def test_mlp_forward_matches_plain_numpy():
