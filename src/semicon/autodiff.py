@@ -2,13 +2,14 @@
 
 A ``Tape`` records one forward computation as an append-only list of
 primitive ops (define-by-run); ``backward`` replays it in reverse to
-accumulate gradients. Tensors are plain ``numpy.float64`` arrays, and
-each ``Var`` holds its own value, so the forward value of every node is
-available eagerly.
+accumulate gradients. Tensors are plain ``numpy.float64`` arrays. A
+node holds no value: its ``Var`` holds that, and each vjp closure keeps
+only the arrays its gradient needs, so on a recording tape too an
+intermediate that no vjp keeps dies with its ``Var``.
 
-A ``Tape(record=False)`` runs the same primitives but appends no node:
-each intermediate array dies with its ``Var``, and ``backward`` and
-``grads_for`` refuse it. ``models.encode`` evaluates on such tapes.
+A ``Tape(record=False)`` runs the same primitives but appends no node,
+so no vjp keeps any array, and ``backward`` and ``grads_for`` refuse
+it. ``models.encode`` evaluates on such tapes.
 
 A tape is confined to the thread that made it; threads that compute at
 once each use their own tape. Apart from ``sgd_step`` (which mutates its
@@ -53,7 +54,6 @@ def as_f64(data) -> Array:
 class _Node:
     op: str
     parents: tuple[int, ...]
-    value: Array
     # maps the gradient at this node to gradients of the parents (None
     # in a slot whose parent needs no gradient); None for leaves
     vjp: Callable[[Array], tuple[Array | None, ...]] | None
@@ -87,8 +87,8 @@ class Tape:
 
     Parent ids always precede a node, so node order is already
     topological and the backward sweep visits each node exactly once.
-    With ``record=False`` nothing is appended, so no value outlives its
-    ``Var`` and there is nothing to differentiate.
+    With ``record=False`` nothing is appended, so no vjp keeps an array
+    alive and there is nothing to differentiate.
     """
 
     def __init__(self, record: bool = True):
@@ -100,7 +100,7 @@ class Tape:
         if not self.record:
             return Var(self, None, value, needs_grad)
         nodes = self.nodes
-        nodes.append(_Node(op, tuple(p.idx for p in parents), value, vjp, needs_grad))
+        nodes.append(_Node(op, tuple(p.idx for p in parents), vjp, needs_grad))
         return Var(self, len(nodes) - 1, value, needs_grad)
 
     def param(self, data) -> Var:

@@ -14,8 +14,8 @@ space with the row max (over the denominator's domain) subtracted as a
 constant, which leaves values and gradients unchanged but keeps the loss
 finite down to very small temperatures.
 
-Every function accepts projections either as a plain float64 array
-(returns a float) or as a tape ``Var`` (returns a ``Var`` for training).
+The losses take projections (or logits) as a tape ``Var`` and return
+a scalar ``Var`` on the same tape.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Var
+from .autodiff import Var
 
 GALPHA_CHOICES = ("unlabeled", "labeled")
 REDUCTIONS = ("sum", "mean")
@@ -150,34 +150,17 @@ def _terms(z: Var, idx: MultiviewIndex, mask: np.ndarray,
     return terms[0], terms[1]
 
 
-def _dispatch(fn):
-    """Run on the caller's tape when given a Var, else on a fresh one."""
-
-    def wrapper(z, *args, **kwargs):
-        if isinstance(z, Var):
-            return fn(z, *args, **kwargs)
-        tape = Tape()
-        return float(fn(tape.const(ad.as_f64(z)), *args, **kwargs).data)
-
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
-
-
-@_dispatch
-def loss_mem(z, idx: MultiviewIndex, mask: np.ndarray, cfg: LossConfig):
+def loss_mem(z: Var, idx: MultiviewIndex, mask: np.ndarray, cfg: LossConfig) -> Var:
     """Supervised contrastive term L_m over labeled anchors, full-batch negatives."""
     return _terms(z, idx, mask, cfg)[0]
 
 
-@_dispatch
-def loss_unlab(z, idx: MultiviewIndex, cfg: LossConfig):
+def loss_unlab(z: Var, idx: MultiviewIndex, cfg: LossConfig) -> Var:
     """Self-supervised term L_u over unlabeled anchors; positive is the paired view."""
     return _terms(z, idx, build_masks(idx), cfg)[1]
 
 
-@_dispatch
-def semicon(z, idx: MultiviewIndex, mask: np.ndarray, cfg: LossConfig):
+def semicon(z: Var, idx: MultiviewIndex, mask: np.ndarray, cfg: LossConfig) -> Var:
     """Unified loss: labeled term + alpha * unlabeled term, from one pass.
 
     ``galpha_on="labeled"`` moves the weight onto the labeled term
@@ -189,8 +172,7 @@ def semicon(z, idx: MultiviewIndex, mask: np.ndarray, cfg: LossConfig):
     return ad.add(lm, ad.scale(lu, cfg.alpha))
 
 
-@_dispatch
-def cross_entropy(logits, labels):
+def cross_entropy(logits: Var, labels) -> Var:
     """Mean over rows of -log softmax(logits)[label]."""
     n, n_classes = logits.shape
     if n == 0:

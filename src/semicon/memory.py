@@ -37,9 +37,10 @@ class Oracle:
 
 @dataclass(frozen=True, eq=False)
 class Sample:
-    """A stored stream element, as `MemoryBuffer.items` shows it."""
+    """A stored stream element, as `MemoryBuffer.items` shows it: its
+    feature row, read from the buffer's `features` by source id."""
 
-    features: np.ndarray | None
+    features: np.ndarray
     source_id: int
 
 
@@ -59,7 +60,7 @@ class MemoryBuffer:
     """
 
     capacity: int
-    features: np.ndarray | None = field(default=None, repr=False)
+    features: np.ndarray = field(repr=False)
     seen: int = field(default=0, init=False)
     oracle_calls: int = field(default=0, init=False)
     ids: np.ndarray = field(init=False, repr=False)
@@ -94,8 +95,8 @@ class _Items(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        sid, rows = int(self.buf.ids[:len(self)][i]), self.buf.features
-        return MemoryItem(Sample(None if rows is None else rows[sid], sid),
+        sid = int(self.buf.ids[:len(self)][i])
+        return MemoryItem(Sample(self.buf.features[sid], sid),
                           int(self.buf.labels[:len(self)][i]))
 
     def __setitem__(self, i: int, item: MemoryItem) -> None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from math import ceil, isfinite
+from math import isfinite
 from typing import Callable
 
 import numpy as np
@@ -131,20 +131,12 @@ def _spawn_rngs(seed: int) -> dict[str, np.random.Generator]:
     return {n: np.random.default_rng(c) for n, c in zip(names, children)}
 
 
-def _init_seed(rngs: dict) -> int:
-    return int(rngs["init"].integers(0, 2**63 - 1))
-
-
 def _head_init(rngs: dict, latent_dim: int, n_classes: int) -> dict[str, np.ndarray]:
     bound = 1.0 / np.sqrt(latent_dim)
     return {
         "head/w": rngs["init"].uniform(-bound, bound, (latent_dim, n_classes)),
         "head/b": np.zeros((1, n_classes)),
     }
-
-
-def _n_classes(stream: TaskStream) -> int:
-    return int(stream.oracle.labels.max()) + 1
 
 
 def _contrastive_forward(enc: Encoder, proj: ProjectionHead, views: np.ndarray,
@@ -170,11 +162,6 @@ def _ce_forward(enc: Encoder, feats: np.ndarray, labels: np.ndarray):
         return losses.cross_entropy(logits, labels)
 
     return forward
-
-
-def _stream_labels(stream: TaskStream, ids: np.ndarray) -> np.ndarray:
-    """Direct label lookup for the supervised baselines (uncharged)."""
-    return stream.oracle.label(ids)
 
 
 def _schedule(cfg: TrainConfig, stream: TaskStream, rng: np.random.Generator):
@@ -236,14 +223,14 @@ def run(cfg: TrainConfig, stream: TaskStream,
     memory = (MemoryBuffer(cfg.mem_size, stream.data.features)
               if cfg.method in MEMORY_METHODS else None)
     rngs = _spawn_rngs(cfg.seed)
-    enc, proj = init_params(_init_seed(rngs), model)
+    enc, proj = init_params(int(rngs["init"].integers(0, 2**63 - 1)), model)
     contrastive = cfg.method in CONTRASTIVE_METHODS
     if contrastive:
         params = {**enc.params, **proj.params}
         loss_cfg = cfg.loss_config()
     else:
-        params = {**enc.params,
-                  **_head_init(rngs, enc.out_dim, _n_classes(stream))}
+        n_classes = int(stream.oracle.labels.max()) + 1
+        params = {**enc.params, **_head_init(rngs, enc.out_dim, n_classes)}
 
     def head_scores():
         return head_accuracy(enc, params["head/w"], params["head/b"][0],
@@ -264,8 +251,9 @@ def run(cfg: TrainConfig, stream: TaskStream,
                 ids = np.concatenate([ids, b_s])
                 labels = np.concatenate([labels, np.full(len(b_s), -1)])
             elif cfg.method in SUPERVISED_METHODS:
+                # direct label lookup for the supervised baselines (uncharged)
                 ids = np.concatenate([ids, b_s])
-                labels = np.concatenate([labels, _stream_labels(stream, b_s)])
+                labels = np.concatenate([labels, stream.oracle.label(b_s)])
             steps += 1
             if not len(ids):  # nothing to train on yet: a counted step
                 loss = 0.0
@@ -306,13 +294,3 @@ def run(cfg: TrainConfig, stream: TaskStream,
         wall_clock=time.perf_counter() - started,
     )
     return enc, memory, report
-
-
-def expected_steps(cfg: TrainConfig, stream: TaskStream) -> int:
-    """The step-count contract: ceil(N / |B_s|) per pass."""
-    per_pass = sum(
-        ceil(len(t) / stream.batch_size) for t in stream.tasks
-    )
-    if cfg.method == "offline":
-        return cfg.epochs * ceil(stream.n_samples / cfg.stream_batch)
-    return per_pass

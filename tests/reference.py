@@ -6,6 +6,9 @@ reservoir offer) and none of the vectorized or stabilized structure of
 the library code. Deliberately slow; use tiny
 inputs. The conv encoder builds every convolution and pool from flat
 index `gather`s and `row_max`, so its backward is an `np.add.at` scatter.
+`expected_steps` is the step-count contract every method is held to, and
+`loss_value` evaluates a library loss, which takes tape variables, on a
+plain array.
 """
 
 import math
@@ -74,6 +77,14 @@ def cross_entropy(logits, labels):
         den = sum(math.exp(float(v)) for v in row)
         total += -math.log(math.exp(float(row[y])) / den)
     return total / len(labels)
+
+
+def expected_steps(cfg, stream):
+    """ceil(N / |B_s|) steps per task; offline makes cfg.epochs passes
+    over the whole training set at once."""
+    if cfg.method == "offline":
+        return cfg.epochs * math.ceil(stream.n_samples / cfg.stream_batch)
+    return sum(math.ceil(len(t) / stream.batch_size) for t in stream.tasks)
 
 
 def nearest_mean(x, means):
@@ -172,6 +183,12 @@ def conv_encoder_gather(spec, bound, x):
         in_c = out_c
     flat = ad.reshape(act, (n, h * w * in_c))
     return ad.add(ad.matmul(flat, bound["enc/dense_w"]), bound["enc/dense_b"])
+
+
+def loss_value(loss, x, *args):
+    """The float value of `loss(x, *args)` with `x` a constant on a fresh
+    tape that records nothing."""
+    return float(loss(ad.Tape(record=False).const(x), *args).data)
 
 
 def finite_diff_check(f, params, step=1e-5):

@@ -12,6 +12,7 @@ import pytest
 from scipy import stats
 
 import reference
+from reference import loss_value
 from semicon import autodiff as ad
 from semicon import losses
 from semicon.errors import DataError
@@ -66,8 +67,8 @@ def test_1_loss_matches_scalar_oracle():
         z, idx = random_batch(rng)
         tau = float(rng.uniform(0.05, 1.0))
         alpha = float(rng.uniform(0.0, 2.0))
-        got = semicon(z, idx, build_masks(idx),
-                      LossConfig(tau=tau, alpha=alpha))
+        got = loss_value(semicon, z, idx, build_masks(idx),
+                         LossConfig(tau=tau, alpha=alpha))
         want = reference_semicon(z, idx, tau, alpha)
         worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     elapsed = time.perf_counter() - started
@@ -84,14 +85,14 @@ def test_2_reductions_to_known_losses():
         tau = float(rng.uniform(0.05, 1.0))
         want = reference.supcon(z, np.asarray(idx.labels), tau)
         for alpha in (0.0, 0.18, 1.0, 1.78):
-            got = semicon(z, idx, build_masks(idx),
-                          LossConfig(tau=tau, alpha=alpha))
+            got = loss_value(semicon, z, idx, build_masks(idx),
+                             LossConfig(tau=tau, alpha=alpha))
             worst_sup = max(worst_sup, abs(got - want) / max(1.0, abs(want)))
     for _ in range(100):
         z, idx = random_batch(rng, kind="unlabeled")
         tau = float(rng.uniform(0.05, 1.0))
-        got = semicon(z, idx, build_masks(idx),
-                      LossConfig(tau=tau, alpha=1.0))
+        got = loss_value(semicon, z, idx, build_masks(idx),
+                         LossConfig(tau=tau, alpha=1.0))
         want = reference.pair_contrastive(z, np.asarray(idx.pair), tau)
         worst_pair = max(worst_pair, abs(got - want) / max(1.0, abs(want)))
     ok = worst_sup < 1e-10 and worst_pair < 1e-10
@@ -176,10 +177,11 @@ def test_5_reservoir_uniformity():
     rng = np.random.default_rng(0)
     oracle = Oracle(np.zeros(n, dtype=np.int64))
     stream = np.arange(n)
+    rows = np.zeros((n, 1))  # a feature row per source id
 
     counts = np.zeros(n)
     for _ in range(trials):
-        buf = MemoryBuffer(capacity=m)
+        buf = MemoryBuffer(m, rows)
         reservoir_update_batch(buf, stream, oracle, rng)
         counts[buf.ids[:buf.size]] += 1
     chi2, p = stats.chisquare(counts, f_exp=np.full(n, trials * m / n))
@@ -223,8 +225,8 @@ def test_7_alpha_zero_still_differs_from_memory_only():
     gaps = []
     for _ in range(20):
         z, idx = random_batch(rng)
-        full = semicon(z, idx, build_masks(idx),
-                       LossConfig(tau=0.07, alpha=0.0))
+        full = loss_value(semicon, z, idx, build_masks(idx),
+                          LossConfig(tau=0.07, alpha=0.0))
         labeled = np.asarray(idx.labeled)
         z_mem = z[labeled]
         mem_only = reference.supcon(z_mem, np.asarray(idx.labels)[labeled],

@@ -214,6 +214,33 @@ def test_tape_dies_at_del_without_the_cyclic_gc(no_cyclic_gc, forward):
     assert grads  # gradients outlive their tape
 
 
+def test_recorded_intermediate_dies_with_its_var(no_cyclic_gc):
+    # the add's vjp keeps only shapes, so once the product's Var is gone
+    # nothing on the tape holds the product
+    rng = np.random.default_rng(7)
+    xv, wv = rng.normal(size=(4, 3)), rng.normal(size=(3, 2))
+    bv = rng.normal(size=(1, 2))
+
+    def grads(drop):
+        tape = ad.Tape()
+        w, b = tape.param(wv), tape.param(bv)
+        h = ad.matmul(tape.const(xv), w)
+        y = ad.add(h, b)
+        product = weakref.ref(h.data)
+        if drop:
+            del h
+        dead = product() is None  # while the tape is alive
+        return dead, ad.grads_for(ad.backward(ad.total_sum(ad.exp(y))), [w, b])
+
+    dead, (gw, gb) = grads(drop=True)
+    held, kept = grads(drop=False)
+    assert dead and not held
+    assert np.array_equal(gw, kept[0]) and np.array_equal(gb, kept[1])
+    g = np.exp(xv @ wv + bv)
+    np.testing.assert_allclose(gw, xv.T @ g, rtol=1e-12)
+    np.testing.assert_allclose(gb, g.sum(axis=0, keepdims=True), rtol=1e-12)
+
+
 def test_heap_setting_sets_both_glibc_thresholds(monkeypatch):
     calls = []
 

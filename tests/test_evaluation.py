@@ -168,7 +168,7 @@ def test_rotation_invariance():
 def test_fit_ncm_rejects_empty_memory():
     enc = make_encoder(3)
     with pytest.raises(DataError, match="empty memory"):
-        fit_ncm(enc, MemoryBuffer(capacity=5))
+        fit_ncm(enc, MemoryBuffer(capacity=5, features=np.zeros((0, 3))))
 
 
 def test_ncm_classify_single_sample():

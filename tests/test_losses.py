@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from reference import loss_value
 from semicon import autodiff as ad
 from semicon import losses
 from semicon.losses import (
@@ -110,13 +111,13 @@ def test_loss_config_validation():
 
 def test_loss_mem_single_source_is_zero():
     z, idx = random_batch(1, b_l=1, b_u=0)
-    val = losses.loss_mem(z, idx, build_masks(idx), LossConfig())
+    val = loss_value(losses.loss_mem, z, idx, build_masks(idx), LossConfig())
     assert val == 0.0
 
 
 def test_loss_unlab_single_source_is_zero():
     z, idx = random_batch(2, b_l=0, b_u=1)
-    assert losses.loss_unlab(z, idx, LossConfig()) == 0.0
+    assert loss_value(losses.loss_unlab, z, idx, LossConfig()) == 0.0
 
 
 @pytest.mark.parametrize("b_l", [2, 3, 5])
@@ -124,7 +125,7 @@ def test_loss_mem_identical_projections(b_l):
     # uniform similarities force softmax 1/(2b-1) for every positive
     idx = MultiviewIndex.from_sources([0] * b_l)
     z = np.tile(unit_rows(np.random.default_rng(3), 1, 6), (2 * b_l, 1))
-    val = losses.loss_mem(z, idx, build_masks(idx), LossConfig())
+    val = loss_value(losses.loss_mem, z, idx, build_masks(idx), LossConfig())
     assert val == pytest.approx(2 * b_l * math.log(2 * b_l - 1), rel=1e-12)
 
 
@@ -132,19 +133,19 @@ def test_loss_mem_identical_projections(b_l):
 def test_loss_unlab_identical_projections(b_u):
     idx = MultiviewIndex.from_sources([-1] * b_u)
     z = np.tile(unit_rows(np.random.default_rng(4), 1, 6), (2 * b_u, 1))
-    val = losses.loss_unlab(z, idx, LossConfig())
+    val = loss_value(losses.loss_unlab, z, idx, LossConfig())
     assert val == pytest.approx(2 * b_u * math.log(2 * b_u - 1), rel=1e-12)
 
 
 def test_empty_anchor_sets_return_zero():
     z, idx = random_batch(5, b_l=0, b_u=2)
-    assert losses.loss_mem(z, idx, build_masks(idx), LossConfig()) == 0.0
+    assert loss_value(losses.loss_mem, z, idx, build_masks(idx), LossConfig()) == 0.0
     z, idx = random_batch(6, b_l=2, b_u=0)
-    assert losses.loss_unlab(z, idx, LossConfig()) == 0.0
+    assert loss_value(losses.loss_unlab, z, idx, LossConfig()) == 0.0
 
 
 def test_cross_entropy_uniform_logits():
-    val = losses.cross_entropy(np.zeros((4, 10)), np.array([0, 3, 7, 9]))
+    val = loss_value(losses.cross_entropy, np.zeros((4, 10)), np.array([0, 3, 7, 9]))
     assert val == pytest.approx(math.log(10), rel=1e-12)
 
 
@@ -152,14 +153,15 @@ def test_cross_entropy_confident_correct():
     logits = np.zeros((3, 5))
     labels = np.array([0, 2, 4])
     logits[np.arange(3), labels] = 1000.0
-    assert losses.cross_entropy(logits, labels) == pytest.approx(0.0, abs=1e-12)
+    val = loss_value(losses.cross_entropy, logits, labels)
+    assert val == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cross_entropy_label_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
-        losses.cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
+        loss_value(losses.cross_entropy, np.zeros((2, 3)), np.array([0, 3]))
     with pytest.raises(ValueError, match="out of range"):
-        losses.cross_entropy(np.zeros((2, 3)), np.array([-1, 0]))
+        loss_value(losses.cross_entropy, np.zeros((2, 3)), np.array([-1, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +173,7 @@ def test_loss_mem_matches_oracle_mixed_batch():
     rng = np.random.default_rng(10)
     idx = MultiviewIndex.from_sources([1, 1, -1])
     z = unit_rows(rng, 6, 4)
-    got = losses.loss_mem(z, idx, build_masks(idx), LossConfig(tau=0.07))
+    got = loss_value(losses.loss_mem, z, idx, build_masks(idx), LossConfig(tau=0.07))
     want = reference.loss_mem(z, idx.labeled, idx.labels, 0.07)
     assert got == pytest.approx(want, rel=1e-10)
 
@@ -180,8 +182,8 @@ def test_loss_mem_matches_oracle_mixed_batch():
 def test_losses_match_oracles(seed, b_l, b_u):
     z, idx = random_batch(seed, b_l, b_u)
     cfg = LossConfig(tau=0.07)
-    lm = losses.loss_mem(z, idx, build_masks(idx), cfg)
-    lu = losses.loss_unlab(z, idx, cfg)
+    lm = loss_value(losses.loss_mem, z, idx, build_masks(idx), cfg)
+    lu = loss_value(losses.loss_unlab, z, idx, cfg)
     assert lm == pytest.approx(reference.loss_mem(z, idx.labeled, idx.labels, 0.07),
                                rel=1e-10)
     assert lu == pytest.approx(reference.loss_unlab(z, idx.labeled, idx.pair, 0.07),
@@ -192,7 +194,7 @@ def test_losses_match_oracles(seed, b_l, b_u):
 def test_semicon_composition_against_oracles(alpha):
     z, idx = random_batch(30, b_l=2, b_u=3)
     cfg = LossConfig(tau=0.07, alpha=alpha)
-    got = losses.semicon(z, idx, build_masks(idx), cfg)
+    got = loss_value(losses.semicon, z, idx, build_masks(idx), cfg)
     want = (reference.loss_mem(z, idx.labeled, idx.labels, 0.07)
             + alpha * reference.loss_unlab(z, idx.labeled, idx.pair, 0.07))
     assert got == pytest.approx(want, rel=1e-10)
@@ -202,7 +204,7 @@ def test_cross_entropy_matches_oracle():
     rng = np.random.default_rng(40)
     logits = rng.normal(size=(4, 3))
     labels = np.array([0, 2, 1, 1])
-    got = losses.cross_entropy(logits, labels)
+    got = loss_value(losses.cross_entropy, logits, labels)
     assert got == pytest.approx(reference.cross_entropy(logits, labels), rel=1e-12)
 
 
@@ -215,13 +217,13 @@ def test_fully_labeled_batch_reduces_to_supcon(alpha):
     rng = np.random.default_rng(50)
     idx = MultiviewIndex.from_sources([0, 1, 0, 2])
     z = unit_rows(rng, 8, 5)
-    got = losses.semicon(z, idx, build_masks(idx), LossConfig(alpha=alpha))
+    got = loss_value(losses.semicon, z, idx, build_masks(idx), LossConfig(alpha=alpha))
     assert got == pytest.approx(reference.supcon(z, idx.labels, 0.07), rel=1e-10)
 
 
 def test_fully_unlabeled_batch_reduces_to_pair_contrastive():
     z, idx = random_batch(51, b_l=0, b_u=4)
-    got = losses.semicon(z, idx, build_masks(idx), LossConfig(alpha=1.0))
+    got = loss_value(losses.semicon, z, idx, build_masks(idx), LossConfig(alpha=1.0))
     assert got == pytest.approx(reference.pair_contrastive(z, idx.pair, 0.07),
                                 rel=1e-10)
 
@@ -231,7 +233,7 @@ def test_alpha_zero_keeps_unlabeled_negatives():
     # still crowd the denominators, so the value differs from SupCon
     # computed on the labeled views alone
     z, idx = random_batch(52, b_l=3, b_u=3)
-    mixed = losses.semicon(z, idx, build_masks(idx), LossConfig(alpha=0.0))
+    mixed = loss_value(losses.semicon, z, idx, build_masks(idx), LossConfig(alpha=0.0))
     lab = idx.labeled
     labeled_only = reference.supcon(z[lab], idx.labels[lab], 0.07)
     assert mixed == pytest.approx(
@@ -243,9 +245,9 @@ def test_galpha_on_labeled_moves_the_weight():
     z, idx = random_batch(53, b_l=2, b_u=2)
     mask = build_masks(idx)
     cfg = LossConfig(alpha=0.3, galpha_on="labeled")
-    lm = losses.loss_mem(z, idx, mask, LossConfig())
-    lu = losses.loss_unlab(z, idx, LossConfig())
-    got = losses.semicon(z, idx, mask, cfg)
+    lm = loss_value(losses.loss_mem, z, idx, mask, LossConfig())
+    lu = loss_value(losses.loss_unlab, z, idx, LossConfig())
+    got = loss_value(losses.semicon, z, idx, mask, cfg)
     assert got == pytest.approx(0.3 * lm + lu, rel=1e-12)
 
 
@@ -254,10 +256,10 @@ def test_mean_reduction_divides_by_anchor_count():
     mask = build_masks(idx)
     sum_cfg = LossConfig()
     mean_cfg = LossConfig(reduction="mean")
-    assert losses.loss_mem(z, idx, mask, mean_cfg) == pytest.approx(
-        losses.loss_mem(z, idx, mask, sum_cfg) / 4, rel=1e-12)
-    assert losses.loss_unlab(z, idx, mean_cfg) == pytest.approx(
-        losses.loss_unlab(z, idx, sum_cfg) / 6, rel=1e-12)
+    assert loss_value(losses.loss_mem, z, idx, mask, mean_cfg) == pytest.approx(
+        loss_value(losses.loss_mem, z, idx, mask, sum_cfg) / 4, rel=1e-12)
+    assert loss_value(losses.loss_unlab, z, idx, mean_cfg) == pytest.approx(
+        loss_value(losses.loss_unlab, z, idx, sum_cfg) / 6, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +280,9 @@ def test_losses_non_negative(seed, b_l, b_u, tau, alpha):
     z, idx = random_batch(seed, b_l, b_u)
     cfg = LossConfig(tau=tau, alpha=alpha)
     mask = build_masks(idx)
-    assert losses.loss_mem(z, idx, mask, cfg) >= 0.0
-    assert losses.loss_unlab(z, idx, cfg) >= 0.0
-    assert losses.semicon(z, idx, mask, cfg) >= 0.0
+    assert loss_value(losses.loss_mem, z, idx, mask, cfg) >= 0.0
+    assert loss_value(losses.loss_unlab, z, idx, cfg) >= 0.0
+    assert loss_value(losses.semicon, z, idx, mask, cfg) >= 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -294,9 +296,9 @@ def test_semicon_decomposes_exactly(seed, b_l, b_u, alpha):
     z, idx = random_batch(seed, b_l, b_u)
     cfg = LossConfig(alpha=alpha)
     mask = build_masks(idx)
-    whole = losses.semicon(z, idx, mask, cfg)
-    parts = losses.loss_mem(z, idx, mask, cfg) + alpha * losses.loss_unlab(
-        z, idx, cfg)
+    whole = loss_value(losses.semicon, z, idx, mask, cfg)
+    parts = (loss_value(losses.loss_mem, z, idx, mask, cfg)
+             + alpha * loss_value(losses.loss_unlab, z, idx, cfg))
     assert whole == parts
 
 
@@ -333,7 +335,7 @@ def test_permutation_equivariance():
     rng = np.random.default_rng(60)
     z, idx = random_batch(61, b_l=3, b_u=2)
     cfg = LossConfig(alpha=0.7)
-    base = losses.semicon(z, idx, build_masks(idx), cfg)
+    base = loss_value(losses.semicon, z, idx, build_masks(idx), cfg)
     for _ in range(10):
         perm = rng.permutation(idx.n_views)
         inv = np.argsort(perm)
@@ -341,14 +343,14 @@ def test_permutation_equivariance():
             labels=idx.labels[perm],
             pair=inv[idx.pair[perm]],
         )
-        got = losses.semicon(z[perm], shuffled, build_masks(shuffled), cfg)
+        got = loss_value(losses.semicon, z[perm], shuffled, build_masks(shuffled), cfg)
         assert got == pytest.approx(base, rel=1e-10)
 
 
 def test_stable_at_tiny_temperature():
     z, idx = random_batch(62, b_l=3, b_u=3)
     cfg = LossConfig(tau=1e-3, alpha=1.0)
-    val = losses.semicon(z, idx, build_masks(idx), cfg)
+    val = loss_value(losses.semicon, z, idx, build_masks(idx), cfg)
     assert math.isfinite(val) and val >= 0.0
 
 
@@ -366,20 +368,11 @@ def test_monotone_in_alpha():
     z, idx = random_batch(64, b_l=2, b_u=2)
     mask = build_masks(idx)
     vals = [
-        losses.semicon(z, idx, mask, LossConfig(alpha=a))
+        loss_value(losses.semicon, z, idx, mask, LossConfig(alpha=a))
         for a in (0.0, 0.5, 1.0, 2.0)
     ]
-    assert losses.loss_unlab(z, idx, LossConfig()) > 0.0
+    assert loss_value(losses.loss_unlab, z, idx, LossConfig()) > 0.0
     assert all(a < b for a, b in zip(vals, vals[1:]))
-
-
-def test_var_and_array_paths_agree():
-    z, idx = random_batch(65, b_l=2, b_u=1)
-    mask = build_masks(idx)
-    cfg = LossConfig(alpha=0.5)
-    tape = ad.Tape()
-    traced = losses.semicon(tape.const(z), idx, mask, cfg)
-    assert float(traced.data) == losses.semicon(z, idx, mask, cfg)
 
 
 def test_semicon_gradient_matches_finite_differences():

@@ -18,6 +18,10 @@ from semicon.memory import (
 )
 
 
+# a feature row for each source id of every stream here
+ROWS = np.zeros((1000, 1))
+
+
 def make_stream(n):
     """A stream batch: source ids only."""
     return np.arange(n)
@@ -40,7 +44,7 @@ class CountingOracle(Oracle):
 
 
 def fill(capacity, n, seed=0, oracle=None):
-    buf = MemoryBuffer(capacity)
+    buf = MemoryBuffer(capacity, ROWS)
     oracle = oracle or ids_oracle(n)
     rng = np.random.default_rng(seed)
     reservoir_update_batch(buf, make_stream(n), oracle, rng)
@@ -70,7 +74,7 @@ def test_items_carry_oracle_labels():
 
 def test_capacity_validation():
     with pytest.raises(ValueError, match="capacity"):
-        MemoryBuffer(0)
+        MemoryBuffer(0, ROWS)
 
 
 def test_size_clamps_at_capacity():
@@ -83,7 +87,7 @@ def test_size_clamps_at_capacity():
 @settings(max_examples=30, deadline=None)
 @given(capacity=st.integers(1, 20), n=st.integers(0, 60), seed=st.integers(0, 99))
 def test_size_invariant_along_any_prefix(capacity, n, seed):
-    buf = MemoryBuffer(capacity)
+    buf = MemoryBuffer(capacity, ROWS)
     oracle = ids_oracle(max(n, 1))
     rng = np.random.default_rng(seed)
     for t, sample in enumerate(make_stream(n), start=1):
@@ -126,7 +130,7 @@ def test_batch_update_equals_scalar_algorithm_r(capacity, n, seed):
     oracle = Oracle(labels)
     sizes = np.random.default_rng(100 + seed).integers(1, 26, size=n)
     sizes[:2] = capacity - 3, 7  # the second batch fills the buffer and draws
-    buf, rng = MemoryBuffer(capacity), np.random.default_rng(seed)
+    buf, rng = MemoryBuffer(capacity, ROWS), np.random.default_rng(seed)
     ref_rng = np.random.default_rng(seed)
     ref, calls, start = ([], [], 0, 0), 0, 0
     straddled = False
@@ -164,7 +168,7 @@ def test_two_stores_into_one_slot_keep_the_later_offer():
     # 1 and 1 (slot 1 twice)
     draws = [2, 4, 1, 1]
     oracle = CountingOracle(np.arange(10) * 10)
-    buf = MemoryBuffer(3)
+    buf = MemoryBuffer(3, ROWS)
     reservoir_update_batch(buf, [0, 1], oracle, Draws([]))
     reservoir_update_batch(buf, [2, 3, 4, 5, 6], oracle, Draws(draws))
     ref = reference.reservoir_scalar(3, [], [], 0, range(7), oracle.labels,
@@ -176,7 +180,7 @@ def test_two_stores_into_one_slot_keep_the_later_offer():
 
 def test_single_offer_wrapper_is_a_batch_of_one():
     oracle = ids_oracle(200)
-    a, b = MemoryBuffer(12), MemoryBuffer(12)
+    a, b = MemoryBuffer(12, ROWS), MemoryBuffer(12, ROWS)
     rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
     for i in range(200):
         reservoir_update(a, i, oracle, rng_a)
@@ -198,7 +202,7 @@ def test_final_inclusion_is_uniform():
     stream = make_stream(n)
     counts = np.zeros(n)
     for _ in range(trials):
-        buf = MemoryBuffer(capacity)
+        buf = MemoryBuffer(capacity, ROWS)
         reservoir_update_batch(buf, stream, oracle, rng)
         counts[stored(buf)] += 1
     p = capacity / n
@@ -238,7 +242,7 @@ def test_retrieve_clamps_to_stored():
 def test_retrieve_zero_and_empty():
     buf = fill(capacity=10, n=5)
     for got in (retrieve(buf, 0, np.random.default_rng(0)),
-                retrieve(MemoryBuffer(10), 4, np.random.default_rng(0))):
+                retrieve(MemoryBuffer(10, ROWS), 4, np.random.default_rng(0))):
         assert [len(a) for a in got] == [0, 0]
     with pytest.raises(ValueError):
         retrieve(buf, -1, np.random.default_rng(0))
@@ -289,7 +293,7 @@ def test_simulator_matches_real_buffer_distribution():
     stream = make_stream(n)
     rng = np.random.default_rng(10)
     real = np.array([
-        reservoir_update_batch(MemoryBuffer(capacity), stream, oracle, rng)
+        reservoir_update_batch(MemoryBuffer(capacity, ROWS), stream, oracle, rng)
         .oracle_calls
         for _ in range(trials)
     ], dtype=float)

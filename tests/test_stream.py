@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference import expected_steps
 from semicon.errors import ConfigError, DataError
 from semicon.stream import (
     DROPOUT_P,
@@ -13,7 +14,7 @@ from semicon.stream import (
     make_synthetic,
     split_dataset,
 )
-from semicon.trainers import TrainConfig, expected_steps
+from semicon.trainers import TrainConfig
 
 
 def toy_dataset(n_classes=4, per_class=6, dim=3, seed=0):

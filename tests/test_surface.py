@@ -23,8 +23,6 @@ USER_DIRS = ("src", "scripts", "perfbench")
 TEST_ONLY = {
     "canonical_json": "the timing-free report form in which the golden "
                       "fixture and the byte-identical-report promise are checked",
-    "expected_steps": "the ceil(N / |B_s|) step-count contract that the "
-                      "trainer and stream tests hold every method to",
 }
 
 

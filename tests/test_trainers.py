@@ -19,7 +19,7 @@ from semicon.stream import (
     make_synthetic,
     split_dataset,
 )
-from semicon.trainers import TrainConfig, expected_steps, run
+from semicon.trainers import TrainConfig, run
 
 
 def small_stream(seed=0, separation=3.0, per_class=10, n_classes=4,
@@ -183,7 +183,7 @@ def test_step_count_contract(method):
     kw = {"epochs": 2} if method == "offline" else {}
     cfg = cfg_for(method, seed=1, **kw)
     _, _, rep = run(cfg, stream, MODEL)
-    assert rep.steps == expected_steps(cfg, stream)
+    assert rep.steps == reference.expected_steps(cfg, stream)
     if method != "offline":
         assert rep.steps == sum(1 for _, batches in stream.iter_tasks()
                                 for _ in batches)
@@ -194,7 +194,7 @@ def test_ragged_tasks_step_count():
     stream = small_stream(seed=7, per_class=15, n_classes=2, batch_size=4)
     cfg = cfg_for("ours", stream_batch=4, seed=0)
     _, _, rep = run(cfg, stream, MODEL)
-    assert rep.steps == 8 == expected_steps(cfg, stream)
+    assert rep.steps == 8 == reference.expected_steps(cfg, stream)
 
 
 def test_budgeted_methods_report_partial_labels():
@@ -274,28 +274,10 @@ def test_scr_mo_batch_is_mem_batch_once_full(monkeypatch):
     cfg = cfg_for("scr-mo", seed=4, mem_size=100, mem_batch=5)
     _, _, rep = run(cfg, stream, MODEL)
     # step 1 trains on nothing (empty memory) and is still counted
-    assert rep.steps == expected_steps(cfg, stream)
+    assert rep.steps == reference.expected_steps(cfg, stream)
     assert len(sizes) == rep.steps - 1
     assert sizes[0] == 5  # batch 1 already left 5 items in memory
     assert all(s == 5 for s in sizes)
-
-
-def test_budgeted_methods_never_touch_stream_labels(monkeypatch):
-    stream = small_stream(seed=14)
-    calls = []
-    real = trainers._stream_labels
-
-    def spy(s, batch):
-        calls.append(len(batch))
-        return real(s, batch)
-
-    monkeypatch.setattr(trainers, "_stream_labels", spy)
-    for method in ("ours", "scr-mo", "er-mo"):
-        run(cfg_for(method, seed=5), stream, MODEL)
-    assert calls == []
-    scr = cfg_for("scr", seed=5)
-    run(scr, stream, MODEL)
-    assert len(calls) == expected_steps(scr, stream)
 
 
 class CountingOracle(Oracle):
@@ -308,6 +290,17 @@ class CountingOracle(Oracle):
     def label(self, source_ids):
         self.calls[0] += np.size(source_ids)
         return super().label(source_ids)
+
+
+def test_budgeted_methods_never_touch_stream_labels():
+    # every label a budgeted run reads is bought by a reservoir store;
+    # scr also looks up each stream sample's label directly, once
+    base = small_stream(seed=14)
+    for method in ("ours", "scr-mo", "er-mo", "scr"):
+        stream = dataclasses.replace(base, oracle=CountingOracle(base.oracle.labels))
+        _, mem, _ = run(cfg_for(method, seed=5), stream, MODEL)
+        direct = stream.n_samples if method == "scr" else 0
+        assert stream.oracle.calls[0] == mem.oracle_calls + direct
 
 
 @pytest.mark.parametrize("method", ["ours", "scr-mo", "er-mo"])
@@ -339,7 +332,7 @@ def test_er_step0_loss_matches_ce_oracle():
     _, _, rep = run(cfg, stream, MODEL)
 
     rngs = trainers._spawn_rngs(cfg.seed)
-    enc, _ = init_params(trainers._init_seed(rngs), MODEL)
+    enc, _ = init_params(int(rngs["init"].integers(0, 2**63 - 1)), MODEL)
     head = trainers._head_init(rngs, enc.out_dim, 4)
     batch = replay_first_batch(small_stream(seed=15))
     feats = stream.data.features[batch]
@@ -361,7 +354,7 @@ def test_scr_step0_loss_matches_semicon_on_all_labeled_batch():
     _, _, rep = run(cfg, stream, MODEL)
 
     rngs = trainers._spawn_rngs(cfg.seed)
-    enc, proj = init_params(trainers._init_seed(rngs), MODEL)
+    enc, proj = init_params(int(rngs["init"].integers(0, 2**63 - 1)), MODEL)
     batch = replay_first_batch(small_stream(seed=16))
     views, idx = make_multiview(
         stream.data.features[batch], stream.oracle.label(batch), rngs["augment"],
@@ -369,8 +362,8 @@ def test_scr_step0_loss_matches_semicon_on_all_labeled_batch():
     tape = ad.Tape()
     bound = bind(tape, {**enc.params, **proj.params})
     z = proj.apply(bound, enc.apply(bound, tape.const(enc.prepare(views))))
-    want = losses.semicon(z.data, idx, losses.build_masks(idx),
-                          losses.LossConfig(tau=0.07, alpha=0.31))
+    want = float(losses.semicon(z, idx, losses.build_masks(idx),
+                                losses.LossConfig(tau=0.07, alpha=0.31)).data)
     assert rep.loss_trace[0] == pytest.approx(want, rel=1e-10)
 
 
