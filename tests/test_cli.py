@@ -130,31 +130,50 @@ def test_reps_vary_seed_and_stream(tmp_path):
     assert a.accuracy != b.accuracy
 
 
-def test_alpha_sweep_from_config(tmp_path):
-    path = write_cfg(tmp_path, """
+# per sweep axis: the values a config lists, as report names and the
+# plot-data table print them (%g), and as aggregate.csv does (str)
+SWEEP_CASES = {
+    "alpha": ("0.1, 1.0", ["0.1", "1"], ["0.1", "1.0"]),
+    "mem_batch": ("5, 10", ["5", "10"], ["5", "10"]),
+}
+
+
+@pytest.mark.parametrize("axis", sorted(cli.SWEEPS))
+def test_sweep_from_config(tmp_path, axis):
+    values, printed, in_aggregate = SWEEP_CASES[axis]
+    path = write_cfg(tmp_path, f"""
 method = ours
 mem_size = 30
 mem_batch = 10
 per_class = 10
-sweep_alpha = 0.1, 1.0
+sweep_{axis} = {values}
 reps = 2
 """)
-    out = str(tmp_path / "sweep")
-    assert run_cli("run", path, "--out", out) == 0
-    names = sorted(p.name for p in (tmp_path / "sweep").glob("*.jsonl"))
-    assert names == [
-        "ours-alpha0.1-rep0.report.jsonl", "ours-alpha0.1-rep1.report.jsonl",
-        "ours-alpha1-rep0.report.jsonl", "ours-alpha1-rep1.report.jsonl",
-    ]
-    rows = read_csv(tmp_path / "sweep" / "aggregate.csv")
-    assert rows[0][0] == "alpha"
-    assert [r[0] for r in rows[1:]] == ["0.1", "1.0"]
+    out = tmp_path / "sweep"
+    assert run_cli("run", path, "--out", str(out)) == 0
+    names = sorted(p.name for p in out.glob("*.jsonl"))
+    assert names == sorted(f"ours-{axis}{v}-rep{r}.report.jsonl"
+                           for v in printed for r in range(2))
+    rows = read_csv(out / "aggregate.csv")
+    assert rows[0] == [axis, "mean_final_avg", "std_final_avg",
+                       "mean_label_fraction", "reps"]
+    assert [r[0] for r in rows[1:]] == in_aggregate
+    assert run_cli("plot-data", str(out)) == 0
+    # the other axes hold one value here, too few for a curve
+    assert [p.name for p in out.glob("accuracy_vs_*.csv")] == \
+        [f"accuracy_vs_{axis}.csv"]
+    rows = read_csv(out / f"accuracy_vs_{axis}.csv")
+    assert rows[0] == ["method", axis, "mean_final_avg", "std_final_avg", "reps"]
+    assert [(r[0], r[1], r[4]) for r in rows[1:]] == \
+        [("ours", v, "2") for v in printed]
 
 
 def test_exclusive_sweep_axes(tmp_path, capsys):
     path = write_cfg(tmp_path, "sweep_alpha = 0.1\nsweep_mem_batch = 10\n")
     assert cli.main(["run", path]) == 1
-    assert "exclusive" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "at most one sweep key" in err
+    assert "sweep_alpha" in err and "sweep_mem_batch" in err
 
 
 def test_alpha_on_wrong_method_is_config_error(capsys):

@@ -112,6 +112,22 @@ def test_diverging_loss_stops_the_run(method, where):
         run(cfg_for(method, seed=1, learning_rate=1e18), stream, MODEL)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("method, separation, where", [
+    ("ours", 3.0, "task 0"),
+    ("offline", 30.0, "all tasks"),  # only its linear head overflows
+], ids=["ours", "offline"])
+def test_diverged_parameters_are_never_scored(method, separation, where):
+    # one step on one batch: its loss is finite, the update overflows
+    stream = make_synthetic(4, 6, separation, 5, 1, seed=0, batch_size=20,
+                            test_per_class=5)
+    kw = {"mem_size": 20, "mem_batch": 10} if method == "ours" else {"epochs": 1}
+    cfg = TrainConfig(method, stream_batch=20, learning_rate=1e308, **kw)
+    with pytest.raises(NumericError,
+                       match=rf"^{method}: parameter \S+ is not finite \({where}\)"):
+        run(cfg, stream, MlpSpec(in_dim=6))
+
+
 def test_stream_batch_mismatch_rejected():
     stream = small_stream(batch_size=5)
     cfg = cfg_for("ours", stream_batch=10)
