@@ -2,14 +2,16 @@
 
 A ``Tape`` records one forward computation as an append-only list of
 primitive ops (define-by-run); ``backward`` replays it in reverse to
-accumulate gradients. Tensors are plain ``numpy.float64`` arrays. A
-node holds no value: its ``Var`` holds that, and each vjp closure keeps
-only the arrays its gradient needs, so on a recording tape too an
-intermediate that no vjp keeps dies with its ``Var``.
+accumulate gradients. Tensors are plain ``numpy.float64`` arrays.
 
-A ``Tape(record=False)`` runs the same primitives but appends no node,
-so no vjp keeps any array, and ``backward`` and ``grads_for`` refuse
-it. ``models.encode`` evaluates on such tapes.
+A tape records what depends on a ``param``: a ``param`` and every op
+with a recorded operand get a node; a ``const`` and every value computed
+from constants alone get a ``Var`` with ``idx`` None and no node. So
+``backward``, ``matmul`` and ``mul`` compute no gradient for a value
+without a node, and a forward with no ``param`` (``models.encode``)
+records nothing. A node holds no value: its ``Var`` holds that, and each
+vjp closure keeps only the arrays its gradient needs, so an intermediate
+that no vjp keeps dies with its ``Var``.
 
 A tape is confined to the thread that made it; threads that compute at
 once each use their own tape. Apart from ``sgd_step`` (which mutates its
@@ -18,10 +20,7 @@ inputs.
 
 No vjp closure holds a ``Var``, so a tape is never part of a reference
 cycle: it is freed by reference count the moment its step (or its
-``models.encode`` slice) ends, not by a later cyclic-GC pass. Each node
-records whether it depends on a ``param``; ``backward`` runs no vjp for
-a node that does not, and ``matmul`` and ``mul`` compute no gradient
-for such an operand.
+``models.encode`` slice) ends, not by a later cyclic-GC pass.
 
 Freeing a whole tape at once empties the top of the heap every step.
 With glibc's default dynamic thresholds, the allocator then returns
@@ -53,55 +52,49 @@ def as_f64(data) -> Array:
 @dataclass
 class _Node:
     op: str
-    parents: tuple[int, ...]
+    parents: tuple[int | None, ...]  # None: the parent has no node
     # maps the gradient at this node to gradients of the parents (None
-    # in a slot whose parent needs no gradient); None for leaves
+    # in a slot whose parent has no node); None for leaves
     vjp: Callable[[Array], tuple[Array | None, ...]] | None
-    needs_grad: bool  # depends on a param
 
 
 class Var:
     """One value computed on a tape, and its node there (``idx`` is None
-    on a tape that records nothing)."""
+    for a value that depends on no param)."""
 
-    __slots__ = ("tape", "idx", "data", "needs_grad")
+    __slots__ = ("tape", "idx", "data")
 
-    def __init__(self, tape: "Tape", idx: int | None, data: Array,
-                 needs_grad: bool):
+    def __init__(self, tape: "Tape", idx: int | None, data: Array):
         self.tape = tape
         self.idx = idx
         self.data = data
-        self.needs_grad = needs_grad
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
     def __repr__(self) -> str:
-        op = "unrecorded" if self.idx is None else self.tape.nodes[self.idx].op
+        op = "constant" if self.idx is None else self.tape.nodes[self.idx].op
         return f"Var(#{self.idx} {op} shape={self.data.shape})"
 
 
 class Tape:
-    """Append-only record of one forward pass.
+    """Append-only record of the part of one forward pass that depends
+    on a ``param``.
 
     Parent ids always precede a node, so node order is already
     topological and the backward sweep visits each node exactly once.
-    With ``record=False`` nothing is appended, so no vjp keeps an array
-    alive and there is nothing to differentiate.
     """
 
-    def __init__(self, record: bool = True):
-        self.record = record
+    def __init__(self):
         self.nodes: list[_Node] = []
 
     def _append(self, op: str, parents: Sequence[Var], value: Array, vjp) -> Var:
-        needs_grad = op == "param" or any(p.needs_grad for p in parents)
-        if not self.record:
-            return Var(self, None, value, needs_grad)
+        if op != "param" and all(p.idx is None for p in parents):
+            return Var(self, None, value)
         nodes = self.nodes
-        nodes.append(_Node(op, tuple(p.idx for p in parents), vjp, needs_grad))
-        return Var(self, len(nodes) - 1, value, needs_grad)
+        nodes.append(_Node(op, tuple(p.idx for p in parents), vjp))
+        return Var(self, len(nodes) - 1, value)
 
     def param(self, data) -> Var:
         """Record a trainable leaf."""
@@ -118,11 +111,6 @@ def _record(op: str, parents: Sequence[Var], value: Array, vjp) -> Var:
         if p.tape is not tape:
             raise ShapeError(f"{op}: operands recorded on different tapes")
     return tape._append(op, parents, value, vjp)
-
-
-def _require_recorded(op: str, tape: Tape) -> None:
-    if not tape.record:
-        raise ShapeError(f"{op}: the tape records nothing, so it has no gradients")
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -152,7 +140,7 @@ def matmul(a: Var, b: Var) -> Var:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     av, bv = a.data, b.data
     out = av @ bv
-    need_a, need_b = a.needs_grad, b.needs_grad
+    need_a, need_b = a.idx is not None, b.idx is not None
 
     def vjp(g: Array):
         return (g @ bv.T if need_a else None,
@@ -183,7 +171,7 @@ def mul(a: Var, b: Var) -> Var:
     except ValueError:
         raise ShapeError(f"mul: shapes {ash} and {bsh} do not broadcast") from None
 
-    need_a, need_b = a.needs_grad, b.needs_grad
+    need_a, need_b = a.idx is not None, b.idx is not None
 
     def vjp(g: Array):
         return (_unbroadcast(g * bv, ash) if need_a else None,
@@ -378,15 +366,16 @@ def mean(a: Var) -> Var:
 # ---------------------------------------------------------------------------
 
 def backward(root: Var) -> dict[int, Array]:
-    """Gradients of a scalar root with respect to every node it reaches
-    through values that depend on a ``param``.
+    """Gradients of a scalar root with respect to every node it reaches.
 
     Returns a map node-id -> gradient array (same shape as the node's
-    value). Nodes computed from constants alone (inputs, masks) get no
-    entry and their vjps never run. Leaves the tape untouched; raises on
-    a non-scalar root.
+    value). Values computed from constants alone (inputs, masks) have no
+    node, so they get no entry and no vjp runs for them. Leaves the tape
+    untouched; raises on a root that depends on no param or is not a
+    scalar.
     """
-    _require_recorded("backward", root.tape)
+    if root.idx is None:
+        raise ShapeError("backward: the root depends on no param")
     if root.data.size != 1:
         raise ShapeError(f"backward: root must be scalar, got shape {root.shape}")
     nodes = root.tape.nodes
@@ -394,10 +383,10 @@ def backward(root: Var) -> dict[int, Array]:
     for i in range(root.idx, -1, -1):
         g = grads.get(i)
         node = nodes[i]
-        if g is None or node.vjp is None or not node.needs_grad:
+        if g is None or node.vjp is None:
             continue
         for pid, pg in zip(node.parents, node.vjp(g)):
-            if not nodes[pid].needs_grad:
+            if pid is None:
                 continue
             if pid in grads:
                 grads[pid] = grads[pid] + pg
@@ -427,8 +416,6 @@ def sgd_step(params: Sequence[Array], grads: Sequence[Array],
 
 def grads_for(grad_map: dict[int, Array], vars: Sequence[Var]) -> list[Array]:
     """Pull gradients for specific nodes, zeros where none flowed."""
-    for v in vars:
-        _require_recorded("grads_for", v.tape)
     return [grad_map.get(v.idx, np.zeros(v.shape)) for v in vars]
 
 

@@ -275,10 +275,13 @@ def _grouped(reports: list[RunReport], axis: str):
     """Group by (method, axis value), keeping only reports where it is set."""
     groups: dict = {}
     for rep in reports:
-        value = rep.config.get(axis)
+        value, method = rep.config.get(axis), rep.config["method"]
         if value is None:
             continue
-        groups.setdefault((rep.config["method"], value), []).append(rep)
+        if not isinstance(value, (int, float)):
+            raise DataError(f"{axis} {value!r} of a report of method "
+                            f"{method} is not a number")
+        groups.setdefault((method, value), []).append(rep)
     for key in groups:
         groups[key].sort(key=lambda r: r.config["seed"])
     return dict(sorted(groups.items()))

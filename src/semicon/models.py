@@ -4,9 +4,9 @@ Two desk-scale encoders: an MLP for synthetic vector streams and a small
 two-conv-block network for 32x32x3 images. The projection head is an MLP
 with one hidden layer, a ReLU, and a row-normalized output (default size
 128). Parameters live in a name -> float64 array mapping; training binds
-them onto a tape, evaluation (`encode`) runs the same forward on tapes
-that record nothing, slice by slice, with the slices of a large batch
-spread over the CPUs this process may use.
+them onto a tape as params; evaluation (`encode`) binds them as
+constants, so its tapes record nothing, and spreads the slices of a
+large batch over the CPUs this process may use.
 
 Projections are L2-normalized before any similarity is taken; the head is
 dropped at test time and only encoder latents reach the classifier.
@@ -164,7 +164,7 @@ def init_params(seed: int, spec: MlpSpec | ConvSpec,
 
 
 def encode(enc: Encoder, batch: np.ndarray) -> np.ndarray:
-    """Latent rows for a raw batch (tapes that record nothing).
+    """Latent rows for a raw batch (parameters bound as constants).
 
     A batch of more than ENCODE_SLICE_VALUES input values goes through
     the encoder in near-equal slices, so transient memory does not grow
@@ -203,5 +203,6 @@ def _usable_cpus() -> int:
 
 
 def _encode_slice(enc: Encoder, batch: np.ndarray) -> np.ndarray:
-    tape = Tape(record=False)
-    return enc.apply(bind(tape, enc.params), tape.const(enc.prepare(batch))).data
+    tape = Tape()
+    bound = {name: tape.const(p) for name, p in enc.params.items()}
+    return enc.apply(bound, tape.const(enc.prepare(batch))).data

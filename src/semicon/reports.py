@@ -30,6 +30,10 @@ class RunReport:
     wall_clock: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
+        config = self.config
+        if not (isinstance(config, dict) and isinstance(config.get("method"), str)
+                and isinstance(config.get("seed"), int)):
+            raise ValueError(f"config lacks a string method or integer seed: {config}")
         if not self.accuracy:
             raise ValueError("a report needs at least one accuracy row")
         widths = {len(row) for row in self.accuracy}

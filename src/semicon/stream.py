@@ -108,9 +108,9 @@ def split_dataset(
     """Partition classes into n_tasks disjoint groups of equal size.
 
     Class groups are ascending by id; within-task sample order is
-    shuffled by the seed. Train labels are reachable only through the
-    stream's oracle. A test class that no train sample has raises
-    `DataError`, since no task could score its rows.
+    shuffled by the seed. Tasks hold source ids; the labels stay in
+    `data.labels`. A test class absent from training, or a task with no
+    test row, raises `DataError`: no accuracy could score those rows.
     """
     if n_tasks < 1:
         raise ConfigError(f"task count must be >= 1, got {n_tasks}")
@@ -137,6 +137,10 @@ def split_dataset(
     if test_data is not None and sum(map(len, test_sets)) < len(test_data):
         absent = np.setdiff1d(test_data.classes, classes)
         raise DataError(f"test class {absent[0]} is absent from training")
+    for task, test in zip(tasks, test_sets):
+        if not len(test):
+            raise DataError(f"task {task.index} (classes "
+                            f"{list(task.class_ids)}) has no test rows")
     return TaskStream(
         tasks=tuple(tasks),
         data=data,

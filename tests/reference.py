@@ -187,8 +187,8 @@ def conv_encoder_gather(spec, bound, x):
 
 def loss_value(loss, x, *args):
     """The float value of `loss(x, *args)` with `x` a constant on a fresh
-    tape that records nothing."""
-    return float(loss(ad.Tape(record=False).const(x), *args).data)
+    tape, which therefore records nothing."""
+    return float(loss(ad.Tape().const(x), *args).data)
 
 
 def finite_diff_check(f, params, step=1e-5):

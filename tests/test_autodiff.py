@@ -113,29 +113,29 @@ def test_backward_rejects_non_scalar_root():
         ad.backward(ad.relu(x))
 
 
-def test_unrecorded_tape_computes_the_same_values_and_keeps_no_node():
+def test_tape_records_only_what_depends_on_a_param():
     rng = np.random.default_rng(3)
     xv, wv = rng.normal(size=(4, 3)), rng.normal(size=(3, 2))
 
-    def forward(tape):
-        h = ad.matmul(tape.const(xv), tape.param(wv))
+    def forward(tape, leaf):
+        h = ad.matmul(tape.const(xv), leaf(tape, wv))
         return ad.l2_normalize_rows(ad.relu(h))
 
-    recorded, unrecorded = ad.Tape(), ad.Tape(record=False)
-    want, got = forward(recorded), forward(unrecorded)
+    recorded, constant = ad.Tape(), ad.Tape()
+    want = forward(recorded, ad.Tape.param)
+    got = forward(constant, ad.Tape.const)
     assert np.array_equal(got.data, want.data)
-    assert got.idx is None and got.needs_grad
-    assert unrecorded.nodes == [] and len(recorded.nodes) == 5
+    assert got.idx is None and constant.nodes == []
+    # the input const gets no node
+    assert [n.op for n in recorded.nodes] == [
+        "param", "matmul", "relu", "l2_normalize_rows"]
 
 
-def test_backward_and_grads_for_refuse_an_unrecorded_tape():
-    tape = ad.Tape(record=False)
-    x = tape.param(np.ones((2, 2)))
-    root = ad.total_sum(x)
+def test_backward_refuses_a_root_that_depends_on_no_param():
+    tape = ad.Tape()
+    root = ad.total_sum(tape.const(np.ones((2, 2))))
     with pytest.raises(ShapeError, match="backward"):
         ad.backward(root)
-    with pytest.raises(ShapeError, match="grads_for"):
-        ad.grads_for({}, [x])
 
 
 def test_backward_skips_nodes_that_depend_on_no_param():
@@ -175,8 +175,8 @@ def test_matmul_and_mul_skip_the_gradient_of_a_constant_operand():
         return tape, w, h, ad.mul(m, h)
 
     tape, w, h, y = record(ad.Tape.const)
-    assert [v.needs_grad for v in (w, h, y)] == [True, True, True]
-    assert not any(n.needs_grad for n in tape.nodes if n.op == "const")
+    assert all(v.idx is not None for v in (w, h, y))
+    assert not any(n.op == "const" for n in tape.nodes)
     gx, gw = tape.nodes[h.idx].vjp(g)
     assert gx is None and np.array_equal(gw, xv.T @ g)
     gm, gh = tape.nodes[y.idx].vjp(g)

@@ -315,20 +315,20 @@ def test_diverging_run_is_numeric_error(tmp_path, capsys):
     assert "numeric error" in capsys.readouterr().err
 
 
+def write_cifar10(path, labels, rng):
+    """A CIFAR-10 binary file: one label byte and 3072 random pixels per record."""
+    rows = []
+    for y in labels:
+        pixels = rng.integers(0, 256, 3072, dtype=np.uint8)
+        rows.append(np.concatenate([[y], pixels]).astype(np.uint8))
+    np.concatenate(rows).tofile(path)
+    return str(path)
+
+
 def test_cifar_round_trip(tmp_path):
     rng = np.random.default_rng(0)
-
-    def fixture(name, labels):
-        rows = []
-        for y in labels:
-            pixels = rng.integers(0, 256, 3072, dtype=np.uint8)
-            rows.append(np.concatenate([[y], pixels]).astype(np.uint8))
-        path = tmp_path / name
-        np.concatenate(rows).tofile(path)
-        return str(path)
-
-    train = fixture("train.bin", [0, 1, 2, 3] * 3)
-    test = fixture("test.bin", [0, 1, 2, 3])
+    train = write_cifar10(tmp_path / "train.bin", [0, 1, 2, 3] * 3, rng)
+    test = write_cifar10(tmp_path / "test.bin", [0, 1, 2, 3], rng)
     path = write_cfg(tmp_path, f"""
 dataset = cifar10
 data_path = {train}
@@ -344,6 +344,26 @@ stream_batch = 3
     rep = read_reports(tmp_path / "r" / "er-rep0.report.jsonl")[0]
     assert len(rep.accuracy) == 2
     assert rep.oracle_calls == 12
+
+
+def test_task_without_test_rows_is_data_error_before_training(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    train = write_cifar10(tmp_path / "train.bin", list(range(10)) * 4, rng)
+    # no test row of classes 8 and 9, the fifth task's
+    test = write_cifar10(tmp_path / "test.bin", list(range(8)) * 2, rng)
+    path = write_cfg(tmp_path, f"""
+dataset = cifar10
+data_path = {train}
+test_path = {test}
+method = er
+mem_size = 10
+mem_batch = 5
+""")
+    out = tmp_path / "r"
+    assert cli.main(["run", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "task 4 (classes [8, 9])" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +461,30 @@ def _malformed(edit):
     (_malformed({"label_fraction": 2}), "label fraction out of range"),
     (_malformed({"accuracy": [[1.2, 1.2]], "final_avg": 1.2}), "[0, 1]"),
     (_malformed({"accuracy": [[0.5], [0.5, 0.5]]}), "equal width"),
+    (_malformed({"config": [1, 2]}), "string method"),
 ], ids=["not_an_object", "empty_accuracy", "label_fraction_above_one",
-        "accuracy_above_one", "ragged_rows"])
+        "accuracy_above_one", "ragged_rows", "config_not_an_object"])
 def test_malformed_report_line_is_data_error(tmp_path, capsys, line, message):
     (tmp_path / "in").mkdir()
     (tmp_path / "in" / "r0.report.jsonl").write_text(line + "\n")
+    assert cli.main(["plot-data", str(tmp_path / "in")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and message in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda config: config.pop("seed"), "integer seed"),
+    (lambda config: config.update(alpha="x"),
+     "alpha 'x' of a report of method ours is not a number"),
+], ids=["no_seed", "alpha_not_a_number"])
+def test_malformed_report_config_beside_a_valid_one_is_data_error(
+        tmp_path, capsys, edit, message):
+    (tmp_path / "in").mkdir()
+    for i, alpha in enumerate([0.5, 0.7]):
+        raw = json.loads(to_json(fake_report("ours", 0, 0.5, alpha=alpha)))
+        if i:
+            edit(raw["config"])
+        (tmp_path / "in" / f"r{i}.report.jsonl").write_text(json.dumps(raw) + "\n")
     assert cli.main(["plot-data", str(tmp_path / "in")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and message in err

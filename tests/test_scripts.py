@@ -1,7 +1,9 @@
-"""The scripts under scripts/ run to completion on small inputs, and its
-config files parse and run."""
+"""The scripts under scripts/ run to completion on small inputs, its
+config files parse and run, and README's commands name what exists."""
 
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -44,3 +46,43 @@ def test_script_configs_parse_and_alpha_sweep_runs(tmp_path):
     rows = (tmp_path / "out" / "accuracy_vs_alpha.csv").read_text().splitlines()
     assert rows[0] == "method,alpha,mean_final_avg,std_final_avg,reps"
     assert [r.split(",")[1] for r in rows[1:]] == [f"{a:g}" for a in grid]
+
+
+def readme_commands():
+    """Each command of README's sh blocks as a token list, comments
+    dropped and `&&` chains split."""
+    text = (ROOT / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.S | re.M):
+        for line in block.splitlines():
+            tokens = shlex.split(line, comments=True)
+            while tokens:
+                end = tokens.index("&&") if "&&" in tokens else len(tokens)
+                commands.append(tokens[:end])
+                tokens = tokens[end + 1:]
+    return commands
+
+
+def test_readme_commands_parse_and_name_existing_files():
+    """Every `semicon` command but a synopsis (a line with a [placeholder])
+    parses, a `run` also validates every config it would train, and every
+    script README runs exists. Nothing is trained."""
+    seen = set()
+    for tokens in readme_commands():
+        if tokens[:1] == ["semicon"] and not any("[" in t for t in tokens):
+            args = cli._build_parser().parse_args(tokens[1:])
+            seen.add(args.command)
+            if args.command != "run":
+                continue
+            if args.config is not None:
+                args.config = str(ROOT / args.config)
+            # what cmd_run checks before it writes anything
+            cfg = cli._merge_config(args)
+            for axis, value in cli._sweep_points(cfg):
+                for rep in range(cfg["reps"]):
+                    cli._train_config(cfg, seed=cfg["seed"] + rep, axis=axis,
+                                      value=value)
+        elif tokens[0] == "python3" and tokens[1].startswith("scripts/"):
+            seen.add(tokens[1])
+            assert (ROOT / tokens[1]).is_file(), tokens
+    assert {"run", "plot-data"} <= seen

@@ -128,9 +128,16 @@ def test_dataset_rejects_non_finite_features(bad):
         LabeledDataset(features, np.zeros(5))
 
 
+def test_split_rejects_a_task_with_no_test_rows():
+    # test rows of classes 0-1 only: task 1 (classes 2 and 3) has none
+    test = LabeledDataset(np.zeros((4, 3)), [0, 1, 0, 1])
+    with pytest.raises(DataError, match=r"task 1 \(classes \[2, 3\]\) has no test"):
+        split_dataset(toy_dataset(), n_tasks=2, seed=0, test_data=test)
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_dataset_accepts_empty_and_huge_finite_features():
-    # a task whose classes have no test row gets an empty test subset
+    # an empty dataset is legal, though not as a task's test set
     assert len(LabeledDataset(np.zeros((0, 2, 3)), [])) == 0
     # finite values whose sum overflows to inf are still finite
     assert len(LabeledDataset(np.full((2, 3), 1e308), [0, 1])) == 2
