@@ -157,29 +157,27 @@ def _train_config(cfg: dict, *, seed: int, axis: str | None = None,
     return TrainConfig(**kw)
 
 
-def _load_cifar_stream(cfg: dict, seed: int):
+def _stream_builder(cfg: dict):
+    """A function from a repetition's seed to its stream, and the model
+    spec. The seed shifts the synthetic data draw and the task order;
+    CIFAR files are read here, once for every repetition."""
+    if cfg["dataset"] == "synthetic":
+        def build(seed):
+            return make_synthetic(
+                cfg["n_classes"], cfg["dim"], cfg["separation"],
+                cfg["per_class"], cfg.get("n_tasks", 2), seed,
+                batch_size=cfg["stream_batch"],
+                test_per_class=cfg["test_per_class"])
+        return build, MlpSpec(in_dim=cfg["dim"])
     label_bytes = 1 if cfg["dataset"] == "cifar10" else 2
-    default_tasks = 5 if cfg["dataset"] == "cifar10" else 20
-    n_tasks = cfg.get("n_tasks", default_tasks)
-    for key in ("data_path", "test_path"):
-        if not os.path.exists(cfg[key]):
-            raise DataError(f"dataset file not found: {cfg[key]}")
+    n_tasks = cfg.get("n_tasks", 5 if cfg["dataset"] == "cifar10" else 20)
     train = load_cifar_binary(cfg["data_path"], label_bytes=label_bytes)
     test = load_cifar_binary(cfg["test_path"], label_bytes=label_bytes)
-    return split_dataset(train, n_tasks, seed,
-                         batch_size=cfg["stream_batch"], test_data=test)
 
-
-def _build_stream(cfg: dict, seed: int):
-    """One stream per repetition; the seed shifts data draw and order."""
-    if cfg["dataset"] == "synthetic":
-        stream = make_synthetic(
-            cfg["n_classes"], cfg["dim"], cfg["separation"], cfg["per_class"],
-            cfg.get("n_tasks", 2), seed, batch_size=cfg["stream_batch"],
-            test_per_class=cfg["test_per_class"],
-        )
-        return stream, MlpSpec(in_dim=cfg["dim"])
-    return _load_cifar_stream(cfg, seed), ConvSpec()
+    def build(seed):
+        return split_dataset(train, n_tasks, seed,
+                             batch_size=cfg["stream_batch"], test_data=test)
+    return build, ConvSpec()
 
 
 def _sweep_points(cfg: dict) -> list[tuple[str | None, object]]:
@@ -203,6 +201,13 @@ def _std(values: list[float]) -> float:
     return float(np.std(values, ddof=1))
 
 
+def _make_out(out_dir: str) -> None:
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot make out {out_dir!r}: {e}") from None
+
+
 def cmd_run(args: argparse.Namespace) -> None:
     cfg = _merge_config(args)
     points = _sweep_points(cfg)
@@ -217,17 +222,15 @@ def cmd_run(args: argparse.Namespace) -> None:
                               f"would both write {name}")
         named[name] = value
     out_dir = cfg["out"]
+    build, model = _stream_builder(cfg)
     aggregate = []
     for (axis, value), point_cfgs in zip(points, train_cfgs):
         reports = []
         for rep, train_cfg in enumerate(point_cfgs):
-            stream, model = _build_stream(cfg, train_cfg.seed)
+            stream = build(train_cfg.seed)
             # made after the stream builds, so a bad data setting leaves none,
             # and before training, so a bad out path fails at once
-            try:
-                os.makedirs(out_dir, exist_ok=True)
-            except OSError as e:
-                raise ConfigError(f"cannot make out {out_dir!r}: {e}") from None
+            _make_out(out_dir)
             _, _, report = run_method(train_cfg, stream, model)
             name = _run_name(cfg["method"], axis, value, rep)
             write_reports(os.path.join(out_dir, name), [report])
@@ -354,7 +357,7 @@ def cmd_plot_data(args: argparse.Namespace) -> None:
     if not tables:
         raise DataError("reports carry no sweep axes to tabulate")
     out_dir = args.out or args.reports_dir
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out(out_dir)
     for name, rows in tables.items():
         path = os.path.join(out_dir, name)
         with open(path, "w", newline="") as fh:

@@ -101,8 +101,6 @@ def evaluate(
     denominator and the class is reported back.
     """
     means = fit_ncm(enc, memory)
-    if not test_sets:
-        return [], []
     features, labels, starts = _all_rows(test_sets)
     hits = predict(means, enc, features) == labels
     return _per_set(hits, starts), np.setdiff1d(labels, means.class_ids).tolist()
@@ -120,8 +118,6 @@ def head_accuracy(
     trained head rather than NCM over memory. All test rows are encoded
     in one call.
     """
-    if not test_sets:
-        return []
     features, labels, starts = _all_rows(test_sets)
     logits = encode(enc, features) @ weight + bias
     return _per_set(np.argmax(logits, axis=1) == labels, starts)

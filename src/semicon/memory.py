@@ -5,7 +5,9 @@ sample gets a label (one oracle call) exactly when reservoir sampling
 decides to store it, including items that are later evicted. Offers are
 decided one at a time, in stream order, by Algorithm R (Vitter, 1985),
 so the expected number of calls after N offers is M * (1 + H_N - H_M),
-which for M << N is about M * (1 + ln(N / M)).
+which for M << N is about M * (1 + ln(N / M)). Offer t > M is stored by
+its own slot draw, independently, with probability M/t, so the variance
+is the sum of (M/t)(1 - M/t) over t = M+1..N.
 """
 
 from __future__ import annotations
@@ -14,10 +16,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-
-# offers per draw in `simulate_oracle_calls`: bounds its (trials, SIMULATE_CHUNK) array
-SIMULATE_CHUNK = 4096
-
 
 @dataclass(frozen=True)
 class Oracle:
@@ -152,22 +150,9 @@ def expected_oracle_calls(capacity: int, stream_length: int) -> float:
     return m * (1.0 + np.sum(1.0 / np.arange(m + 1, n + 1)))
 
 
-def simulate_oracle_calls(
-    capacity: int,
-    stream_length: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Monte-Carlo draw of per-trial oracle-call totals.
-
-    Samples the insertion law of Algorithm R directly (offer t > M
-    inserts independently with probability M/t), which has exactly the
-    distribution of oracle_calls without materializing any buffer.
-    """
+def oracle_calls_std(capacity: int, stream_length: int) -> float:
+    """Standard deviation of oracle_calls after a stream of the given
+    length: sqrt(sum over t = M+1..N of (M/t)(1 - M/t))."""
     m, n = capacity, stream_length
-    counts = np.full(trials, float(min(m, n)))
-    for start in range(m + 1, n + 1, SIMULATE_CHUNK):
-        steps = np.arange(start, min(start + SIMULATE_CHUNK, n + 1))
-        hits = rng.random((trials, steps.size)) < (m / steps)
-        counts += hits.sum(axis=1)
-    return counts
+    p = m / np.arange(m + 1, n + 1)
+    return float(np.sqrt(np.sum(p * (1.0 - p))))

@@ -63,13 +63,14 @@ class Task:
 
 @dataclass(frozen=True, eq=False)
 class TaskStream:
-    """Ordered tasks over one training dataset, iterated exactly once."""
+    """Ordered tasks over one training dataset, iterated exactly once,
+    with one test set per task, which is required."""
 
     tasks: tuple[Task, ...]
     data: LabeledDataset
     batch_size: int
     oracle: Oracle
-    test_sets: tuple[LabeledDataset, ...] = ()
+    test_sets: tuple[LabeledDataset, ...]
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -82,8 +83,8 @@ class TaskStream:
         sizes = {len(t.class_ids) for t in self.tasks}
         if len(sizes) > 1:
             raise ConfigError(f"unequal class counts per task: {sorted(sizes)}")
-        if self.test_sets and len(self.test_sets) != len(self.tasks):
-            raise ConfigError("need one test set per task (or none)")
+        if len(self.test_sets) != len(self.tasks):
+            raise ConfigError("need one test set per task")
 
     @property
     def n_samples(self) -> int:
@@ -103,14 +104,16 @@ def split_dataset(
     seed: int,
     *,
     batch_size: int = 10,
-    test_data: LabeledDataset | None = None,
+    test_data: LabeledDataset,
 ) -> TaskStream:
     """Partition classes into n_tasks disjoint groups of equal size.
 
     Class groups are ascending by id; within-task sample order is
     shuffled by the seed. Tasks hold source ids; the labels stay in
-    `data.labels`. A test class absent from training, or a task with no
-    test row, raises `DataError`: no accuracy could score those rows.
+    `data.labels`. The test data, which is required, is split by the
+    same class groups into one test set per task. A test class absent
+    from training, or a task with no test row, raises `DataError`: no
+    accuracy could score those rows.
     """
     if n_tasks < 1:
         raise ConfigError(f"task count must be >= 1, got {n_tasks}")
@@ -130,11 +133,9 @@ def split_dataset(
         ids = np.where(np.isin(data.labels, group))[0]
         tasks.append(Task(k, tuple(int(c) for c in group),
                           shuffle_rng.permutation(ids)))
-        if test_data is not None:
-            test_sets.append(
-                test_data.subset(np.where(np.isin(test_data.labels, group))[0])
-            )
-    if test_data is not None and sum(map(len, test_sets)) < len(test_data):
+        test_sets.append(
+            test_data.subset(np.where(np.isin(test_data.labels, group))[0]))
+    if sum(map(len, test_sets)) < len(test_data):
         absent = np.setdiff1d(test_data.classes, classes)
         raise DataError(f"test class {absent[0]} is absent from training")
     for task, test in zip(tasks, test_sets):
@@ -227,12 +228,16 @@ def load_cifar_binary(path, *, label_bytes: int = 1) -> LabeledDataset:
 
     CIFAR-10 files carry 1 label byte per record; CIFAR-100 carries 2
     (coarse then fine; the fine label is kept). Pixels are scaled to
-    [0, 1]. A kept label outside the dataset's 10 or 100 classes raises
-    `DataError`.
+    [0, 1]. A path that cannot be read, or a kept label outside the
+    dataset's 10 or 100 classes, raises `DataError`.
     """
     if label_bytes not in (1, 2):
         raise ConfigError(f"label_bytes must be 1 or 2, got {label_bytes}")
-    raw = np.fromfile(path, dtype=np.uint8)
+    try:
+        raw = np.fromfile(path, dtype=np.uint8)
+    except OSError as e:
+        raise DataError(f"dataset file not found or unreadable: {path}: "
+                        f"{e.strerror}") from None
     record = label_bytes + CIFAR_PIXELS
     n, extra = divmod(raw.size, record)
     if extra:

@@ -203,8 +203,7 @@ def _step(params: dict[str, np.ndarray],
 
 def run(cfg: TrainConfig, stream: TaskStream,
         model: MlpSpec | ConvSpec) -> tuple[Encoder, MemoryBuffer | None, RunReport]:
-    """Train cfg.method on the stream. A stream without test sets is
-    rejected before the first step: nothing could score it.
+    """Train cfg.method on the stream.
 
     Each step trains on a memory batch, when the method has a memory,
     joined by the stream batch for ours (unlabeled) and the supervised
@@ -219,8 +218,6 @@ def run(cfg: TrainConfig, stream: TaskStream,
             f"config stream_batch {cfg.stream_batch} != "
             f"stream batch size {stream.batch_size}"
         )
-    if not stream.test_sets:
-        raise ConfigError("the stream has no test sets to score the run on")
     started = time.perf_counter()
     memory = (MemoryBuffer(cfg.mem_size, stream.data.features)
               if cfg.method in MEMORY_METHODS else None)

@@ -366,6 +366,46 @@ mem_batch = 5
     assert not out.exists()
 
 
+def test_cifar_path_that_is_a_directory_is_data_error(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    test = write_cifar10(tmp_path / "test.bin", [0, 1, 2, 3], rng)
+    path = write_cfg(tmp_path, f"""
+dataset = cifar10
+data_path = {tmp_path}
+test_path = {test}
+n_tasks = 2
+""")
+    out = tmp_path / "r"
+    assert cli.main(["run", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(tmp_path) in err
+    assert not out.exists()
+
+
+def test_cifar_files_are_read_once_per_run(tmp_path, monkeypatch):
+    rng = np.random.default_rng(0)
+    train = write_cifar10(tmp_path / "train.bin", [0, 1, 2, 3] * 3, rng)
+    test = write_cifar10(tmp_path / "test.bin", [0, 1, 2, 3], rng)
+    path = write_cfg(tmp_path, f"""
+dataset = cifar10
+data_path = {train}
+test_path = {test}
+n_tasks = 2
+method = er
+mem_size = 8
+stream_batch = 3
+sweep_mem_batch = 4, 5
+""")
+    reads = []
+    load = cli.load_cifar_binary
+    monkeypatch.setattr(cli, "load_cifar_binary",
+                        lambda p, **kw: reads.append(p) or load(p, **kw))
+    out = tmp_path / "r"
+    assert cli.main(["run", path, "--reps", "3", "--out", str(out)]) == 0
+    assert len(list(out.glob("*.report.jsonl"))) == 6
+    assert sorted(reads) == sorted([train, test])
+
+
 # ---------------------------------------------------------------------------
 # plot-data command
 # ---------------------------------------------------------------------------
@@ -508,6 +548,21 @@ def test_plot_data_without_axes_makes_no_out_dir(tmp_path, capsys):
     assert cli.main(["plot-data", str(tmp_path / "in"), "--out", str(out)]) == 2
     assert "no sweep axes" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_plot_data_out_that_cannot_be_a_directory_is_config_error(
+        tmp_path, capsys, out):
+    reports = [fake_report("ours", 0, 0.8, alpha=0.1),
+               fake_report("ours", 0, 0.6, alpha=1.0)]
+    write_report_files(tmp_path / "in", reports)
+    (tmp_path / "afile").write_text("")
+    assert cli.main(["plot-data", str(tmp_path / "in"),
+                     "--out", str(tmp_path / out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: cannot make out")
+    assert (tmp_path / "afile").read_text() == ""
+    assert sorted(p.name for p in (tmp_path / "in").iterdir()) == [
+        "r0.report.jsonl", "r1.report.jsonl"]
 
 
 def test_plot_data_is_order_independent(tmp_path):

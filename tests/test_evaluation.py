@@ -266,13 +266,6 @@ def test_head_accuracy_encodes_every_test_row_in_one_call(monkeypatch):
     assert rows == [70]
 
 
-def test_no_test_sets_give_empty_rows():
-    enc = make_encoder(2)
-    buf = make_memory([[1.0, 0.0], [0.0, 1.0]], [0, 1])
-    assert evaluate(enc, buf, ()) == ([], [])
-    assert head_accuracy(enc, np.zeros((6, 2)), np.zeros(2), ()) == []
-
-
 def test_chance_level_on_unstructured_latents():
     rng = np.random.default_rng(8)
     n_classes = 4

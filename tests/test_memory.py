@@ -11,10 +11,10 @@ from semicon.memory import (
     MemoryBuffer,
     Oracle,
     expected_oracle_calls,
+    oracle_calls_std,
     reservoir_update,
     reservoir_update_batch,
     retrieve,
-    simulate_oracle_calls,
 )
 
 
@@ -278,16 +278,8 @@ def test_table_level_budget_fraction():
     assert round(100 * frac, 1) == 5.6
 
 
-def test_simulator_matches_closed_form():
-    rng = np.random.default_rng(9)
-    counts = simulate_oracle_calls(200, 50_000, trials=200, rng=rng)
-    want = expected_oracle_calls(200, 50_000)
-    assert counts.mean() == pytest.approx(want, rel=0.01)
-
-
-def test_simulator_matches_real_buffer_distribution():
-    # same law at desk scale: Algorithm R runs vs the direct
-    # insertion-probability sampler
+def test_real_buffer_matches_closed_form_mean_and_std():
+    # Algorithm R runs against the exact mean and standard deviation
     capacity, n, trials = 5, 60, 1500
     oracle = ids_oracle(n)
     stream = make_stream(n)
@@ -297,10 +289,18 @@ def test_simulator_matches_real_buffer_distribution():
         .oracle_calls
         for _ in range(trials)
     ], dtype=float)
-    sim = simulate_oracle_calls(capacity, n, trials=trials,
-                                rng=np.random.default_rng(11))
-    se = np.sqrt(real.var() / trials + sim.var() / trials)
-    assert abs(real.mean() - sim.mean()) < 3 * se
-    assert stats.ks_2samp(real, sim).pvalue > 1e-3
+    sigma = oracle_calls_std(capacity, n)
     assert real.mean() == pytest.approx(
-        expected_oracle_calls(capacity, n), abs=3 * np.sqrt(real.var() / trials))
+        expected_oracle_calls(capacity, n), abs=3 * sigma / np.sqrt(trials))
+    # the sample std of T trials has standard error about sigma / sqrt(2(T - 1))
+    # (a sum of many independent Bernoullis is near normal): allow 4 of those
+    assert real.std(ddof=1) == pytest.approx(
+        sigma, abs=4 * sigma / np.sqrt(2 * (trials - 1)))
+
+
+def test_std_closed_form():
+    assert oracle_calls_std(10, 5) == 0.0
+    assert oracle_calls_std(10, 10) == 0.0
+    # M=1, N=3: offers 2 and 3 are Bernoulli(1/2) and Bernoulli(1/3)
+    assert oracle_calls_std(1, 3) == pytest.approx(
+        np.sqrt(1 / 4 + 2 / 9), rel=1e-12)

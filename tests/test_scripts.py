@@ -18,8 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("script, args", [
     ("run_synthetic.py", ["--reps", "1", "--per-class", "5"]),
-    ("label_budget.py", ["--stream-length", "300", "--sizes", "20",
-                         "--trials", "10"]),
+    ("label_budget.py", ["--stream-length", "300", "--sizes", "20"]),
 ])
 def test_script_exits_zero(script, args, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -28,20 +28,22 @@ def toy_dataset(n_classes=4, per_class=6, dim=3, seed=0):
 # ---------------------------------------------------------------------------
 
 def test_split_partitions_classes_ascending():
-    stream = split_dataset(toy_dataset(), n_tasks=2, seed=0)
+    data = toy_dataset()
+    stream = split_dataset(data, n_tasks=2, seed=0, test_data=data)
     assert [t.class_ids for t in stream.tasks] == [(0, 1), (2, 3)]
 
 
 def test_split_single_task_keeps_everything():
     data = toy_dataset()
-    stream = split_dataset(data, n_tasks=1, seed=0)
+    stream = split_dataset(data, n_tasks=1, seed=0, test_data=data)
     assert stream.tasks[0].class_ids == (0, 1, 2, 3)
     assert stream.n_samples == len(data)
 
 
 def test_split_rejects_non_divisible():
     with pytest.raises(ConfigError, match="divide"):
-        split_dataset(toy_dataset(n_classes=5), n_tasks=2, seed=0)
+        data = toy_dataset(n_classes=5)
+        split_dataset(data, n_tasks=2, seed=0, test_data=data)
 
 
 def flat_batches(stream):
@@ -56,7 +58,7 @@ def emitted_ids(stream):
 
 def test_task_class_purity():
     data = toy_dataset()
-    stream = split_dataset(data, n_tasks=2, seed=1, batch_size=4)
+    stream = split_dataset(data, n_tasks=2, seed=1, batch_size=4, test_data=data)
     for k, batch in flat_batches(stream):
         hidden = set(stream.oracle.label(batch).tolist())
         assert hidden <= set(stream.tasks[k].class_ids)
@@ -66,7 +68,7 @@ def test_stream_samples_carry_no_labels():
     # a batch is a plain integer array of source ids: it has no room for
     # a label, and its ids are not the labels in disguise
     data = toy_dataset()
-    stream = split_dataset(data, n_tasks=2, seed=0)
+    stream = split_dataset(data, n_tasks=2, seed=0, test_data=data)
     batches = [batch for _, batch in flat_batches(stream)]
     for batch in batches:
         assert type(batch) is np.ndarray
@@ -77,7 +79,7 @@ def test_stream_samples_carry_no_labels():
 
 def test_single_pass_emits_each_sample_once():
     data = toy_dataset()
-    stream = split_dataset(data, n_tasks=2, seed=3, batch_size=5)
+    stream = split_dataset(data, n_tasks=2, seed=3, batch_size=5, test_data=data)
     emitted = emitted_ids(stream)
     assert sorted(emitted) == list(range(len(data)))
     assert len(emitted) == stream.n_samples
@@ -86,7 +88,7 @@ def test_single_pass_emits_each_sample_once():
 def test_batch_sizes_and_count():
     # 12 samples per task, batch 5 -> 5, 5, 2 per task
     data = toy_dataset(n_classes=2, per_class=6)
-    stream = split_dataset(data, n_tasks=2, seed=0, batch_size=5)
+    stream = split_dataset(data, n_tasks=2, seed=0, batch_size=5, test_data=data)
     sizes = [len(batch) for _, batch in flat_batches(stream)]
     assert sizes == [5, 1, 5, 1]
     assert expected_steps(TrainConfig("ours", stream_batch=5), stream) == 4
@@ -97,16 +99,16 @@ def test_5000_steps_arithmetic():
     data = LabeledDataset(
         np.zeros((50_000, 1)), np.repeat(np.arange(10), 5_000)
     )
-    stream = split_dataset(data, n_tasks=5, seed=0, batch_size=10)
+    stream = split_dataset(data, n_tasks=5, seed=0, batch_size=10, test_data=data)
     assert expected_steps(TrainConfig("ours"), stream) == 5_000
 
 
 def test_emission_order_deterministic():
     data = toy_dataset()
-    a = split_dataset(data, n_tasks=2, seed=7, batch_size=3)
-    b = split_dataset(data, n_tasks=2, seed=7, batch_size=3)
+    a = split_dataset(data, n_tasks=2, seed=7, batch_size=3, test_data=data)
+    b = split_dataset(data, n_tasks=2, seed=7, batch_size=3, test_data=data)
     assert emitted_ids(a) == emitted_ids(b)
-    c = split_dataset(data, n_tasks=2, seed=8, batch_size=3)
+    c = split_dataset(data, n_tasks=2, seed=8, batch_size=3, test_data=data)
     assert emitted_ids(a) != emitted_ids(c)
 
 
@@ -284,6 +286,12 @@ def test_cifar_truncation_reports_offset(tmp_path):
     f.write_bytes(bytes(3073 * 2 + 100))
     with pytest.raises(DataError, match="byte 6146"):
         load_cifar_binary(f)
+
+
+def test_cifar_directory_is_data_error(tmp_path):
+    with pytest.raises(DataError, match="dataset file not found") as err:
+        load_cifar_binary(tmp_path)
+    assert str(tmp_path) in str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -135,17 +135,6 @@ def test_stream_batch_mismatch_rejected():
         run(cfg, stream, MODEL)
 
 
-@pytest.mark.parametrize("method", ["ours", "er", "finetune"])
-def test_stream_without_test_sets_rejected_before_training(method, monkeypatch):
-    base = small_stream(seed=2)
-    stream = split_dataset(base.data, 2, seed=2, batch_size=5)
-    steps = []
-    monkeypatch.setattr(ad, "backward", lambda *a: steps.append(a))
-    with pytest.raises(ConfigError, match="no test sets"):
-        run(cfg_for(method), stream, MODEL)
-    assert steps == []
-
-
 # ---------------------------------------------------------------------------
 # determinism and reporting
 # ---------------------------------------------------------------------------
