@@ -88,6 +88,11 @@ DEFAULTS = {
 
 # n_tasks defaults per dataset: 2 synthetic, 5 cifar10, 20 cifar100
 
+# config keys that only one kind of dataset reads; a file that sets one
+# for the other kind is rejected
+PATH_KEYS = ("data_path", "test_path")
+SYNTHETIC_KEYS = ("n_classes", "dim", "separation", "per_class", "test_per_class")
+
 # config keys that `run` also takes as flags (mem_size as --mem-size);
 # a flag overrides the config file
 RUN_FLAGS = ("method", "dataset", "alpha", "tau", "galpha_on", "mem_size",
@@ -122,20 +127,24 @@ def parse_config_file(path: str) -> dict:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS)
-    if args.config is not None:
-        cfg.update(parse_config_file(args.config))
+    given = {} if args.config is None else parse_config_file(args.config)
+    cfg = {**DEFAULTS, **given}
     for key in RUN_FLAGS:
         value = getattr(args, key)
         if value is not None:
             cfg[key] = value
-    if cfg["dataset"] not in DATASETS:
-        raise ConfigError(f"unknown dataset {cfg['dataset']!r}, "
+    dataset = cfg["dataset"]
+    if dataset not in DATASETS:
+        raise ConfigError(f"unknown dataset {dataset!r}, "
                           f"expected one of {', '.join(DATASETS)}")
-    if cfg["dataset"] != "synthetic":
-        for key in ("data_path", "test_path"):
+    synthetic = dataset == "synthetic"
+    for key in PATH_KEYS if synthetic else SYNTHETIC_KEYS:
+        if key in given:
+            raise ConfigError(f"{key} does not apply to dataset {dataset}")
+    if not synthetic:
+        for key in PATH_KEYS:
             if key not in cfg:
-                raise ConfigError(f"dataset {cfg['dataset']} needs {key}")
+                raise ConfigError(f"dataset {dataset} needs {key}")
     if cfg["reps"] < 1:
         raise ConfigError(f"reps must be positive, got {cfg['reps']}")
     swept = [f"sweep_{field}" for field in SWEEPS if f"sweep_{field}" in cfg]

@@ -30,6 +30,11 @@ from .errors import ShapeError
 # width 32
 ENCODE_SLICE_VALUES = 1 << 17
 
+# the conv encoder's fixed geometry: valid KERNEL x KERNEL convolutions,
+# each followed by POOL x POOL max-pooling
+KERNEL = 3
+POOL = 2
+
 
 @dataclass(frozen=True)
 class MlpSpec:
@@ -44,8 +49,6 @@ class ConvSpec:
 
     in_shape: tuple[int, int, int] = (3, 32, 32)  # channels, height, width
     channels: tuple[int, int] = (8, 16)
-    kernel: int = 3
-    pool: int = 2
     out_dim: int = 160
 
 
@@ -98,15 +101,13 @@ class Encoder:
         return h
 
     def _apply_conv(self, bound: Mapping[str, Var], x: Var) -> Var:
-        spec = self.spec
-        k = spec.kernel
         act = x
-        for block, out_c in enumerate(spec.channels, start=1):
+        for block, out_c in enumerate(self.spec.channels, start=1):
             n, h, w, _ = act.shape
-            conv = ad.relu(_linear(ad.im2col(act, k), bound,
+            conv = ad.relu(_linear(ad.im2col(act, KERNEL), bound,
                                    f"enc/c{block}_w", f"enc/c{block}_b"))
-            conv = ad.reshape(conv, (n, h - k + 1, w - k + 1, out_c))
-            act = ad.maxpool2d(conv, spec.pool)
+            conv = ad.reshape(conv, (n, h - KERNEL + 1, w - KERNEL + 1, out_c))
+            act = ad.maxpool2d(conv, POOL)
         n, h, w, c = act.shape
         flat = ad.reshape(act, (n, h * w * c))
         return _linear(flat, bound, "enc/dense_w", "enc/dense_b")
@@ -140,13 +141,12 @@ def init_params(seed: int, spec: MlpSpec | ConvSpec,
             params[f"enc/b{i}"] = np.zeros((1, fo))
     else:
         c, h, w = spec.in_shape
-        k, p = spec.kernel, spec.pool
         in_c = c
         for block, out_c in enumerate(spec.channels, start=1):
-            fan_in = k * k * in_c
+            fan_in = KERNEL * KERNEL * in_c
             params[f"enc/c{block}_w"] = _uniform_fan_in(rng, fan_in, (fan_in, out_c))
             params[f"enc/c{block}_b"] = np.zeros((1, out_c))
-            h, w = (h - k + 1) // p, (w - k + 1) // p
+            h, w = (h - KERNEL + 1) // POOL, (w - KERNEL + 1) // POOL
             in_c = out_c
         flat = h * w * in_c
         params["enc/dense_w"] = _uniform_fan_in(rng, flat, (flat, spec.out_dim))

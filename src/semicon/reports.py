@@ -95,10 +95,14 @@ def write_reports(path, reports: list[RunReport]) -> None:
 
 
 def read_reports(path) -> list[RunReport]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(from_json(line))
-    return out
+    """The reports in a file of JSON lines; a file that cannot be read
+    or decoded as text raises `DataError` naming it."""
+    try:
+        with open(path) as fh:
+            lines = list(fh)
+    except OSError as e:
+        raise DataError(f"report file not found or unreadable: {path}: "
+                        f"{e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise DataError(f"report file is not text: {path}: {e}") from None
+    return [from_json(text) for text in map(str.strip, lines) if text]

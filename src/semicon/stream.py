@@ -52,21 +52,12 @@ class LabeledDataset:
 
 
 @dataclass(frozen=True, eq=False)
-class Task:
-    index: int
-    class_ids: tuple[int, ...]
-    sample_ids: np.ndarray  # into the train dataset, in emission order
-
-    def __len__(self) -> int:
-        return len(self.sample_ids)
-
-
-@dataclass(frozen=True, eq=False)
 class TaskStream:
-    """Ordered tasks over one training dataset, iterated exactly once,
-    with one test set per task, which is required."""
+    """Ordered tasks over one training dataset, iterated exactly once:
+    each task is an array of source ids in emission order, with its own
+    test set. Build one with `split_dataset`."""
 
-    tasks: tuple[Task, ...]
+    tasks: tuple[np.ndarray, ...]
     data: LabeledDataset
     batch_size: int
     oracle: Oracle
@@ -75,27 +66,12 @@ class TaskStream:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
-        seen: set[int] = set()
-        for task in self.tasks:
-            if seen & set(task.class_ids):
-                raise ConfigError("tasks must have disjoint class sets")
-            seen |= set(task.class_ids)
-        sizes = {len(t.class_ids) for t in self.tasks}
-        if len(sizes) > 1:
-            raise ConfigError(f"unequal class counts per task: {sorted(sizes)}")
-        if len(self.test_sets) != len(self.tasks):
-            raise ConfigError("need one test set per task")
 
-    @property
-    def n_samples(self) -> int:
-        return sum(len(t) for t in self.tasks)
-
-    def iter_tasks(self) -> Iterator[tuple[Task, Iterator[np.ndarray]]]:
-        """Each task with its batches: arrays of source ids, no labels."""
+    def iter_tasks(self) -> Iterator[tuple[int, Iterator[np.ndarray]]]:
+        """Each task's index with its batches: arrays of source ids, no labels."""
         size = self.batch_size
-        for task in self.tasks:
-            ids = task.sample_ids
-            yield task, (ids[i:i + size] for i in range(0, len(ids), size))
+        for k, ids in enumerate(self.tasks):
+            yield k, (ids[i:i + size] for i in range(0, len(ids), size))
 
 
 def split_dataset(
@@ -124,24 +100,18 @@ def split_dataset(
         )
     # the second of two children, so every seed keeps its sample order
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
-    per_task = len(classes) // n_tasks
+    groups = np.split(classes, n_tasks)  # `classes` is ascending
 
-    tasks = []
-    test_sets = []
-    for k in range(n_tasks):
-        group = np.sort(classes[k * per_task:(k + 1) * per_task])
-        ids = np.where(np.isin(data.labels, group))[0]
-        tasks.append(Task(k, tuple(int(c) for c in group),
-                          shuffle_rng.permutation(ids)))
-        test_sets.append(
-            test_data.subset(np.where(np.isin(test_data.labels, group))[0]))
+    tasks = [shuffle_rng.permutation(np.flatnonzero(np.isin(data.labels, g)))
+             for g in groups]
+    test_sets = [test_data.subset(np.flatnonzero(np.isin(test_data.labels, g)))
+                 for g in groups]
     if sum(map(len, test_sets)) < len(test_data):
         absent = np.setdiff1d(test_data.classes, classes)
         raise DataError(f"test class {absent[0]} is absent from training")
-    for task, test in zip(tasks, test_sets):
+    for k, (group, test) in enumerate(zip(groups, test_sets)):
         if not len(test):
-            raise DataError(f"task {task.index} (classes "
-                            f"{list(task.class_ids)}) has no test rows")
+            raise DataError(f"task {k} (classes {group.tolist()}) has no test rows")
     return TaskStream(
         tasks=tuple(tasks),
         data=data,

@@ -169,8 +169,7 @@ def _schedule(cfg: TrainConfig, stream: TaskStream, rng: np.random.Generator):
     scored at: every task in turn, or for offline a single point of
     cfg.epochs shuffled passes over the whole training set (task None)."""
     if cfg.method != "offline":
-        for task, batches in stream.iter_tasks():
-            yield task.index, batches
+        yield from stream.iter_tasks()
         return
     n, size = len(stream.data), cfg.stream_batch
     yield None, (order[start:start + size]
@@ -282,14 +281,14 @@ def run(cfg: TrainConfig, stream: TaskStream,
         head_row = None
     else:
         head_row = rows[-1] if memory is None else head_scores()
-    oracle_calls = (stream.n_samples if cfg.method in SUPERVISED_METHODS
+    oracle_calls = (len(stream.data) if cfg.method in SUPERVISED_METHODS
                     else memory.oracle_calls)
     report = RunReport(
         config=asdict(cfg),
         accuracy=rows,
         final_avg=float(np.mean(rows[-1])),
         oracle_calls=oracle_calls,
-        label_fraction=oracle_calls / stream.n_samples,
+        label_fraction=oracle_calls / len(stream.data),
         steps=steps,
         missing_classes=missing,
         head_accuracy=head_row,

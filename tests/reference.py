@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from semicon import autodiff as ad
+from semicon import models
 from semicon.errors import NumericError
 
 
@@ -83,8 +84,8 @@ def expected_steps(cfg, stream):
     """ceil(N / |B_s|) steps per task; offline makes cfg.epochs passes
     over the whole training set at once."""
     if cfg.method == "offline":
-        return cfg.epochs * math.ceil(stream.n_samples / cfg.stream_batch)
-    return sum(math.ceil(len(t) / stream.batch_size) for t in stream.tasks)
+        return cfg.epochs * math.ceil(len(stream.data) / cfg.stream_batch)
+    return sum(math.ceil(len(ids) / stream.batch_size) for ids in stream.tasks)
 
 
 def nearest_mean(x, means):
@@ -161,7 +162,7 @@ def conv_encoder_gather(spec, bound, x):
     encoder's parameter names to tape nodes.
     """
     c, h, w = spec.in_shape
-    k, p = spec.kernel, spec.pool
+    k, p = models.KERNEL, models.POOL
     n = x.shape[0]
     act = x
     in_c = c

@@ -219,12 +219,17 @@ REJECTED_CFGS = {
     "tasks.cfg": "n_tasks = 3\n",  # 4 classes do not split into 3 tasks
     "cifar.cfg": ("dataset = cifar10\n"
                   "data_path = missing.bin\ntest_path = missing.bin\n"),
+    # a synthetic key on CIFAR: a config error, so its missing files are
+    # never read (reading one would be a data error, exit 2)
+    "cifar_per_class.cfg": ("dataset = cifar10\nper_class = 1\n"
+                            "data_path = missing.bin\ntest_path = missing.bin\n"),
 }
 
 REJECTED = [(["--tau", "-1"], 1), (["--dataset", "cifar10"], 1),
             (["sweep.cfg"], 1), (["--tau", "inf"], 1), (["--alpha", "nan"], 1),
             (["--alpha", "inf"], 1), (["--lr", "inf"], 1), (["tasks.cfg"], 1),
-            (["cifar.cfg"], 2), (["--out", "sweep.cfg/sub"], 1)]
+            (["cifar.cfg"], 2), (["--out", "sweep.cfg/sub"], 1),
+            (["cifar_per_class.cfg"], 1)]
 
 
 @pytest.mark.parametrize("args, expected", REJECTED,
@@ -239,11 +244,13 @@ def test_rejected_run_leaves_no_output_dir(tmp_path, capsys, monkeypatch, args,
 
 
 # config keys a run takes with any value, and why
-PATH_REASON = "any string is a path; a run that loads a missing file is a data error"
-ANY_VALUE = {"data_path": PATH_REASON, "test_path": PATH_REASON}
+ANY_VALUE = {}
 
 # one invalid setting per other config key, and the exit code it gets
 INVALID = {
+    # the dataset is synthetic: it reads no file
+    "data_path": ("data_path = /nonexistent/train.bin", 1),
+    "test_path": ("test_path = /nonexistent/test.bin", 1),
     "out": ("out = run.cfg", 1),  # the config file itself: not a directory
     "method": ("method = sgd", 1),
     "dataset": ("dataset = imagenet", 1),
@@ -528,6 +535,22 @@ def test_malformed_report_config_beside_a_valid_one_is_data_error(
     assert cli.main(["plot-data", str(tmp_path / "in")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and message in err
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"\xff\xfe not text\n"),
+], ids=["directory", "not_utf8"])
+def test_unreadable_report_file_is_data_error(tmp_path, capsys, make):
+    write_report_files(tmp_path / "in", [fake_report("ours", 0, 0.8, alpha=0.1),
+                                         fake_report("ours", 0, 0.6, alpha=1.0)])
+    bad = tmp_path / "in" / "d.report.jsonl"
+    make(bad)
+    out = tmp_path / "out"
+    assert cli.main(["plot-data", str(tmp_path / "in"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(bad) in err
+    assert not out.exists()
 
 
 def test_plot_data_empty_dir_errors(tmp_path, capsys):

@@ -12,8 +12,7 @@ from semicon import models
 from semicon.errors import ShapeError
 
 MLP = models.MlpSpec(in_dim=6, hidden=(8,), out_dim=5)
-TINY_CONV = models.ConvSpec(in_shape=(2, 12, 12), channels=(2, 3),
-                            kernel=3, pool=2, out_dim=5)
+TINY_CONV = models.ConvSpec(in_shape=(2, 12, 12), channels=(2, 3), out_dim=5)
 
 
 def project(proj, h):

@@ -27,17 +27,22 @@ def toy_dataset(n_classes=4, per_class=6, dim=3, seed=0):
 # task splitting
 # ---------------------------------------------------------------------------
 
+def task_classes(stream):
+    """The classes of each task's source ids, ascending."""
+    return [np.unique(stream.data.labels[ids]).tolist() for ids in stream.tasks]
+
+
 def test_split_partitions_classes_ascending():
     data = toy_dataset()
     stream = split_dataset(data, n_tasks=2, seed=0, test_data=data)
-    assert [t.class_ids for t in stream.tasks] == [(0, 1), (2, 3)]
+    assert task_classes(stream) == [[0, 1], [2, 3]]
 
 
 def test_split_single_task_keeps_everything():
     data = toy_dataset()
     stream = split_dataset(data, n_tasks=1, seed=0, test_data=data)
-    assert stream.tasks[0].class_ids == (0, 1, 2, 3)
-    assert stream.n_samples == len(data)
+    assert task_classes(stream) == [[0, 1, 2, 3]]
+    assert len(stream.tasks[0]) == len(data)
 
 
 def test_split_rejects_non_divisible():
@@ -48,8 +53,7 @@ def test_split_rejects_non_divisible():
 
 def flat_batches(stream):
     """(task index, batch) pairs in emission order."""
-    return [(task.index, batch) for task, batches in stream.iter_tasks()
-            for batch in batches]
+    return [(k, batch) for k, batches in stream.iter_tasks() for batch in batches]
 
 
 def emitted_ids(stream):
@@ -61,7 +65,7 @@ def test_task_class_purity():
     stream = split_dataset(data, n_tasks=2, seed=1, batch_size=4, test_data=data)
     for k, batch in flat_batches(stream):
         hidden = set(stream.oracle.label(batch).tolist())
-        assert hidden <= set(stream.tasks[k].class_ids)
+        assert hidden <= {2 * k, 2 * k + 1}
 
 
 def test_stream_samples_carry_no_labels():
@@ -82,7 +86,6 @@ def test_single_pass_emits_each_sample_once():
     stream = split_dataset(data, n_tasks=2, seed=3, batch_size=5, test_data=data)
     emitted = emitted_ids(stream)
     assert sorted(emitted) == list(range(len(data)))
-    assert len(emitted) == stream.n_samples
 
 
 def test_batch_sizes_and_count():
@@ -149,8 +152,31 @@ def test_test_sets_follow_task_classes():
     data = toy_dataset(seed=0)
     test = toy_dataset(seed=1)
     stream = split_dataset(data, n_tasks=2, seed=0, test_data=test)
-    for task, ts in zip(stream.tasks, stream.test_sets):
-        assert set(np.unique(ts.labels)) == set(task.class_ids)
+    for classes, ts in zip(task_classes(stream), stream.test_sets):
+        assert np.unique(ts.labels).tolist() == classes
+
+
+@pytest.mark.parametrize("n_classes, n_tasks", [(4, 2), (10, 5), (100, 20), (4, 1)],
+                         ids=["synthetic", "cifar10", "cifar100", "one_task"])
+def test_split_is_a_partition_of_equal_ascending_class_groups(n_classes, n_tasks):
+    rng = np.random.default_rng(n_classes)
+    labels = rng.permutation(np.repeat(np.arange(n_classes), 3))
+    data = LabeledDataset(rng.normal(size=(len(labels), 2)), labels)
+    test_labels = rng.permutation(np.repeat(np.arange(n_classes), 2))
+    test = LabeledDataset(np.zeros((len(test_labels), 2)), test_labels)
+    stream = split_dataset(data, n_tasks, seed=0, batch_size=4, test_data=test)
+    groups = task_classes(stream)
+    per_task = n_classes // n_tasks
+    # ascending within and across tasks, so disjoint
+    flat = [c for g in groups for c in g]
+    assert flat == sorted(set(flat))
+    # equal class counts that together hold every training class
+    assert [len(g) for g in groups] == [per_task] * n_tasks
+    assert flat == data.classes.tolist()
+    assert sorted(emitted_ids(stream)) == list(range(len(data)))
+    assert len(stream.test_sets) == n_tasks
+    for g, ts in zip(groups, stream.test_sets):
+        assert np.unique(ts.labels).tolist() == g
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +327,8 @@ def test_cifar_directory_is_data_error(tmp_path):
 def test_synthetic_geometry():
     stream = make_synthetic(n_classes=4, dim=5, separation=3.0, per_class=20,
                             n_tasks=2, seed=0)
-    assert [t.class_ids for t in stream.tasks] == [(0, 1), (2, 3)]
-    assert stream.n_samples == 80
+    assert task_classes(stream) == [[0, 1], [2, 3]]
+    assert len(stream.data) == 80
     assert len(stream.test_sets) == 2
 
 

@@ -217,14 +217,14 @@ def test_supervised_methods_report_full_labels():
         kw = {"epochs": 1} if method == "offline" else {}
         _, _, rep = run(cfg_for(method, seed=1, **kw), stream, MODEL)
         assert rep.label_fraction == 1.0
-        assert rep.oracle_calls == stream.n_samples
+        assert rep.oracle_calls == len(stream.data)
 
 
 def test_full_memory_means_full_label_budget():
     stream = small_stream(seed=10)  # N = 80
     cfg = cfg_for("ours", seed=2, mem_size=200, mem_batch=8)
     _, mem, rep = run(cfg, stream, MODEL)
-    assert mem.size == stream.n_samples
+    assert mem.size == len(stream.data)
     assert rep.label_fraction == 1.0
 
 
@@ -232,7 +232,7 @@ def test_er_with_huge_memory_holds_everything():
     stream = small_stream(seed=11)
     cfg = cfg_for("er-mo", seed=2, mem_size=500, mem_batch=8)
     _, mem, rep = run(cfg, stream, MODEL)
-    assert mem.size == stream.n_samples
+    assert mem.size == len(stream.data)
     assert rep.label_fraction == 1.0
 
 
@@ -304,7 +304,7 @@ def test_budgeted_methods_never_touch_stream_labels():
     for method in ("ours", "scr-mo", "er-mo", "scr"):
         stream = dataclasses.replace(base, oracle=CountingOracle(base.oracle.labels))
         _, mem, _ = run(cfg_for(method, seed=5), stream, MODEL)
-        direct = stream.n_samples if method == "scr" else 0
+        direct = len(stream.data) if method == "scr" else 0
         assert stream.oracle.calls[0] == mem.oracle_calls + direct
 
 
@@ -317,7 +317,7 @@ def test_budgeted_memory_labels_come_from_oracle_stores(method):
     _, mem, rep = run(cfg_for(method, seed=5, mem_size=10, mem_batch=5),
                       stream, MODEL)
     assert stream.oracle.calls[0] == mem.oracle_calls == rep.oracle_calls
-    assert mem.oracle_calls < stream.n_samples
+    assert mem.oracle_calls < len(stream.data)
     ids = mem.ids[:mem.size]
     assert np.array_equal(mem.labels[:mem.size], base.oracle.labels[ids])
 
@@ -441,7 +441,7 @@ def test_offline_single_epoch_is_one_pass():
     stream = small_stream(seed=23)
     cfg = cfg_for("offline", seed=3, epochs=1)
     _, _, rep = run(cfg, stream, MODEL)
-    assert rep.steps == stream.n_samples // 5
+    assert rep.steps == len(stream.data) // 5
 
 
 def test_er_mo_reports_head_and_ncm_separately():
