@@ -1,18 +1,27 @@
-"""Experiment runner: single runs, sweeps, and plot-ready tables.
+"""Experiment runner: single runs, method lists, sweeps, and plot-ready
+tables.
 
 Config files are `key = value` lines ('#' starts a comment). CLI flags
-override file values. Every run writes one report file; sweeps add an
-aggregate CSV with mean and sample standard deviation over repetitions.
+override file values. Every run writes one report file; a run set of
+more than one (several methods, a sweep, repetitions) adds an aggregate
+CSV with mean and sample standard deviation over repetitions.
 
 Exit codes: 0 ok, 1 config error, 2 data error, 3 numeric error.
 """
 
 from __future__ import annotations
 
+import os
+
+# BLAS sums in a thread-dependent order, and the last-bit differences can
+# change a run's outcome; so one thread is pinned before numpy loads,
+# unless the caller sets a count
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import argparse
 import csv
 import glob
-import os
 import sys
 from dataclasses import fields
 
@@ -22,13 +31,17 @@ from .errors import ConfigError, DataError, NumericError
 from .models import ConvSpec, MlpSpec
 from .reports import RunReport, read_reports, write_reports
 from .stream import load_cifar_binary, make_synthetic, split_dataset
-from .trainers import TrainConfig, run as run_method
+from .trainers import APPLIES, TrainConfig, run as run_method
 
 DATASETS = ("synthetic", "cifar10", "cifar100")
 
 
 def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
+
+
+def _names(text: str) -> list[str]:
+    return [v.strip() for v in text.split(",")]
 
 
 def _ints(text: str) -> list[int]:
@@ -47,7 +60,7 @@ def _bool(text: str) -> bool:
 SWEEPS = {"mem_batch": _ints, "alpha": _floats}
 
 SCHEMA = {
-    "method": str,
+    "method": _names,
     "dataset": str,
     "data_path": str,
     "test_path": str,
@@ -73,7 +86,7 @@ SCHEMA = {
 }
 
 DEFAULTS = {
-    "method": "ours",
+    "method": ["ours"],
     "dataset": "synthetic",
     "out": "reports",
     "reps": 1,
@@ -154,13 +167,16 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _train_config(cfg: dict, *, seed: int, axis: str | None = None,
-                  value=None) -> TrainConfig:
+def _train_config(cfg: dict, method: str, *, seed: int,
+                  axis: str | None = None, value=None) -> TrainConfig:
     """Forward the set config keys that name a TrainConfig field (lr is
-    learning_rate); TrainConfig fills per-method defaults and checks."""
+    learning_rate) and apply to `method`, and the sweep value, which
+    always goes on; TrainConfig fills per-method defaults and checks."""
     named = {("learning_rate" if k == "lr" else k): v for k, v in cfg.items()}
-    kw = {f.name: named[f.name] for f in fields(TrainConfig) if f.name in named}
-    kw["seed"] = seed
+    kw = {f.name: named[f.name] for f in fields(TrainConfig)
+          if f.name in named and (f.name not in APPLIES
+                                  or method in APPLIES[f.name][0])}
+    kw.update(method=method, seed=seed)
     if axis is not None:
         kw[axis] = value
     return TrainConfig(**kw)
@@ -217,52 +233,71 @@ def _make_out(out_dir: str) -> None:
         raise ConfigError(f"cannot make out {out_dir!r}: {e}") from None
 
 
-def cmd_run(args: argparse.Namespace) -> None:
-    cfg = _merge_config(args)
+def _plan(cfg: dict) -> list[tuple[str, str | None, object, list[TrainConfig]]]:
+    """Every run set of a config, in run order: (method, sweep axis,
+    value, one TrainConfig per repetition). Repetition r of every method
+    runs at seed + r, so all methods train on the same streams. Every
+    config is checked here, before anything is written."""
+    methods = cfg["method"]
     points = _sweep_points(cfg)
-    # every config is checked before anything is written
-    train_cfgs = [[_train_config(cfg, seed=cfg["seed"] + rep, axis=axis, value=value)
-                   for rep in range(cfg["reps"])] for axis, value in points]
+    plan = [(method, axis, value,
+             [_train_config(cfg, method, seed=cfg["seed"] + rep, axis=axis,
+                            value=value) for rep in range(cfg["reps"])])
+            for method in methods for axis, value in points]
+    for key, (applies, _) in APPLIES.items():
+        if key in cfg and not set(applies) & set(methods):
+            raise ConfigError(f"{key} does not apply to {', '.join(methods)}")
+    for method in methods:
+        if methods.count(method) > 1:
+            raise ConfigError(f"method {method} is listed twice")
+    # two methods never share a report name, but two points of one may
     named: dict[str, object] = {}
     for axis, value in points:
-        name = _run_name(cfg["method"], axis, value, 0)
+        name = _run_name(methods[0], axis, value, 0)
         if name in named:
             raise ConfigError(f"{axis} values {named[name]!r} and {value!r} "
                               f"would both write {name}")
         named[name] = value
+    return plan
+
+
+def cmd_run(args: argparse.Namespace) -> None:
+    cfg = _merge_config(args)
+    plan = _plan(cfg)
     out_dir = cfg["out"]
     build, model = _stream_builder(cfg)
     aggregate = []
-    for (axis, value), point_cfgs in zip(points, train_cfgs):
+    for method, axis, value, rep_cfgs in plan:
         reports = []
-        for rep, train_cfg in enumerate(point_cfgs):
+        for rep, train_cfg in enumerate(rep_cfgs):
             stream = build(train_cfg.seed)
             # made after the stream builds, so a bad data setting leaves none,
             # and before training, so a bad out path fails at once
             _make_out(out_dir)
             _, _, report = run_method(train_cfg, stream, model)
-            name = _run_name(cfg["method"], axis, value, rep)
+            name = _run_name(method, axis, value, rep)
             write_reports(os.path.join(out_dir, name), [report])
             reports.append(report)
             print(f"{name}: final_avg={report.final_avg:.4f} "
                   f"labels={report.label_fraction:.3f}")
-        aggregate.append((axis, value, reports))
-    if len(points) > 1 or cfg["reps"] > 1:
+        aggregate.append((method, axis, value, reports))
+    written = sum(len(reports) for *_, reports in aggregate)
+    if written > 1:
         _write_aggregate(os.path.join(out_dir, "aggregate.csv"), aggregate)
-    print(f"wrote {sum(len(r) for _, _, r in aggregate)} reports to {out_dir}")
+    print(f"wrote {written} reports to {out_dir}")
 
 
 def _write_aggregate(path: str, aggregate) -> None:
-    axis = aggregate[0][0] or "run"
+    axis = aggregate[0][1] or "run"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([axis, "mean_final_avg", "std_final_avg",
+        writer.writerow(["method", axis, "mean_final_avg", "std_final_avg",
                          "mean_label_fraction", "reps"])
-        for _, value, reports in aggregate:
+        for method, _, value, reports in aggregate:
             finals = [r.final_avg for r in reports]
             fractions = [r.label_fraction for r in reports]
             writer.writerow([
-                value if value is not None else "single",
+                method, value if value is not None else "single",
                 f"{np.mean(finals):.6f}", f"{_std(finals):.6f}",
                 f"{np.mean(fractions):.6f}", len(reports),
             ])

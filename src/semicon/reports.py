@@ -42,7 +42,7 @@ class RunReport:
         if any(not 0.0 <= a <= 1.0 for row in self.accuracy for a in row):
             raise ValueError(f"accuracies must lie in [0, 1]: {self.accuracy}")
         last = self.accuracy[-1]
-        if abs(self.final_avg - sum(last) / len(last)) > 1e-12:
+        if not abs(self.final_avg - sum(last) / len(last)) <= 1e-12:
             raise ValueError("final_avg must be the mean of the last row")
         if not 0.0 <= self.label_fraction <= 1.0:
             raise ValueError(f"label fraction out of range: {self.label_fraction}")

@@ -53,7 +53,7 @@ SUPERVISED_METHODS = ("scr", "er", "finetune", "offline")
 
 # optional field -> (methods it applies to, default there); the field
 # stays None on every other method, and setting it there is an error
-_APPLIES = {
+APPLIES = {
     "alpha": (("ours",), losses.LossConfig.alpha),
     "galpha_on": (("ours",), losses.LossConfig.galpha_on),
     "tau": (CONTRASTIVE_METHODS, losses.LossConfig.tau),
@@ -65,7 +65,7 @@ _APPLIES = {
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Method choice plus hyperparameters; the fields in `_APPLIES` are
+    """Method choice plus hyperparameters; the fields in `APPLIES` are
     filled with their defaults when left None and rejected when set on a
     method they do not apply to."""
 
@@ -86,7 +86,7 @@ class TrainConfig:
             raise ConfigError(
                 f"unknown method {self.method!r}; expected one of {METHODS}"
             )
-        for name, (methods, default) in _APPLIES.items():
+        for name, (methods, default) in APPLIES.items():
             if self.method in methods:
                 if getattr(self, name) is None:
                     object.__setattr__(self, name, default)

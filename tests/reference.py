@@ -6,9 +6,9 @@ reservoir offer) and none of the vectorized or stabilized structure of
 the library code. Deliberately slow; use tiny
 inputs. The conv encoder builds every convolution and pool from flat
 index `gather`s and `row_max`, so its backward is an `np.add.at` scatter.
-`expected_steps` is the step-count contract every method is held to, and
+`expected_steps` is the step-count contract every method is held to,
 `loss_value` evaluates a library loss, which takes tape variables, on a
-plain array.
+plain array, and `CountingOracle` tallies the labels it hands out.
 """
 
 import math
@@ -18,6 +18,7 @@ import numpy as np
 from semicon import autodiff as ad
 from semicon import models
 from semicon.errors import NumericError
+from semicon.memory import Oracle
 
 
 def contrastive_anchor(z, i, positives, tau):
@@ -131,6 +132,18 @@ def reservoir_scalar(capacity, ids, labels, seen, offers, oracle_labels, rng):
                 stores += 1
         seen += 1
     return ids, labels, seen, stores
+
+
+class CountingOracle(Oracle):
+    """Oracle that tallies every label it hands out."""
+
+    def __init__(self, labels):
+        super().__init__(labels)
+        object.__setattr__(self, "calls", [0])
+
+    def label(self, source_ids):
+        self.calls[0] += np.size(source_ids)
+        return super().label(source_ids)
 
 
 def conv_patch_indices(n, h, w, c, k):

@@ -2,16 +2,28 @@
 
 import csv
 import json
+import os
 import statistics
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from semicon import cli
 from semicon.errors import ConfigError
-from semicon.reports import RunReport, read_reports, to_json, write_reports
+from semicon.reports import (
+    RunReport,
+    canonical_json,
+    read_reports,
+    to_json,
+    write_reports,
+)
 from semicon.trainers import TrainConfig
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -32,13 +44,13 @@ def read_csv(path):
 def test_config_file_parses_types(tmp_path):
     path = write_cfg(tmp_path, """
 # experiment settings
-method = ours
+method = ours ,scr-mo
 alpha = 0.5   # inline comment
 reps = 3
 sweep_mem_batch = 10, 20, 50
 """)
     cfg = cli.parse_config_file(path)
-    assert cfg == {"method": "ours", "alpha": 0.5, "reps": 3,
+    assert cfg == {"method": ["ours", "scr-mo"], "alpha": 0.5, "reps": 3,
                    "sweep_mem_batch": [10, 20, 50]}
 
 
@@ -113,12 +125,13 @@ def test_reps_write_aggregate_with_sample_std(tmp_path):
     assert files == [f"ours-rep{i}.report.jsonl" for i in range(3)]
     finals = [read_reports(tmp_path / "r" / f)[0].final_avg for f in files]
     rows = read_csv(tmp_path / "r" / "aggregate.csv")
-    assert rows[0] == ["run", "mean_final_avg", "std_final_avg",
+    assert rows[0] == ["method", "run", "mean_final_avg", "std_final_avg",
                        "mean_label_fraction", "reps"]
-    assert float(rows[1][1]) == pytest.approx(np.mean(finals), abs=1e-6)
-    assert float(rows[1][2]) == pytest.approx(statistics.stdev(finals),
+    assert rows[1][:2] == ["ours", "single"]
+    assert float(rows[1][2]) == pytest.approx(np.mean(finals), abs=1e-6)
+    assert float(rows[1][3]) == pytest.approx(statistics.stdev(finals),
                                               abs=1e-6)
-    assert rows[1][4] == "3"
+    assert rows[1][5] == "3"
 
 
 def test_reps_vary_seed_and_stream(tmp_path):
@@ -128,6 +141,77 @@ def test_reps_vary_seed_and_stream(tmp_path):
             for i in range(2))
     assert a.config["seed"] == 3 and b.config["seed"] == 4
     assert a.accuracy != b.accuracy
+
+
+def canonical_reports(out):
+    return {p.name: canonical_json(read_reports(p)[0])
+            for p in sorted(out.glob("*.report.jsonl"))}
+
+
+def test_method_list_runs_each_method_as_its_own_run(tmp_path):
+    methods = ["ours", "scr-mo", "er-mo", "finetune"]
+    mem = ["--mem-size", "30", "--mem-batch", "10"]
+    out = tmp_path / "all"
+    assert run_cli("run", "--method", ", ".join(methods), *mem, "--seed", "3",
+                   "--reps", "2", "--out", str(out)) == 0
+    together = canonical_reports(out)
+    alone = {}
+    for method in methods:
+        # the memory keys do not apply to finetune, so a run of it alone
+        # cannot set them
+        flags = [] if method == "finetune" else mem
+        assert run_cli("run", "--method", method, *flags, "--seed", "3",
+                       "--reps", "2", "--out", str(tmp_path / method)) == 0
+        alone.update(canonical_reports(tmp_path / method))
+    assert together == alone
+    assert sorted(together) == sorted(f"{m}-rep{r}.report.jsonl"
+                                      for m in methods for r in range(2))
+    reports = {name: read_reports(out / name)[0] for name in together}
+    assert reports["finetune-rep0.report.jsonl"].config["mem_size"] is None
+    for rep in range(2):
+        # one stream and one reservoir seed per repetition: the budgeted
+        # methods buy the same labels
+        calls = {reports[f"{m}-rep{rep}.report.jsonl"].oracle_calls
+                 for m in ("ours", "scr-mo", "er-mo")}
+        assert len(calls) == 1
+    rows = read_csv(out / "aggregate.csv")
+    assert [r[:2] for r in rows[1:]] == [[m, "single"] for m in methods]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("method = ours, er\nepochs = 3", "epochs does not apply to ours, er"),
+    ("method = ours, scr\nsweep_alpha = 0.5, 1", "alpha does not apply to scr"),
+    ("method = ours, ours", "method ours is listed twice"),
+], ids=["key_for_no_method", "sweep_key_beside_scr", "listed_twice"])
+def test_bad_method_list_is_config_error(tmp_path, capsys, monkeypatch, text,
+                                         message):
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["run", write_cfg(tmp_path, text + "\n")])
+    err = capsys.readouterr().err
+    assert_rejected_cleanly(tmp_path, code, err, 1)
+    assert message in err
+
+
+def test_report_is_the_same_under_any_blas_thread_count(tmp_path):
+    """`semicon run` pins one BLAS thread unless the caller sets a count.
+    This config's outcome changes with the BLAS thread count, so a run
+    with the thread variables unset must match one run at one thread.
+    On a 1-core machine BLAS runs one thread either way, and the test
+    passes trivially."""
+    path = write_cfg(tmp_path, "n_classes = 10\ndim = 32\nper_class = 200\n"
+                               "n_tasks = 5\n")
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    unset = {k: v for k, v in os.environ.items() if k not in blas}
+    unset["PYTHONPATH"] = str(SRC)
+    one = {**unset, **dict.fromkeys(blas, "1")}
+    for name, env in [("unset", unset), ("one", one)]:
+        done = subprocess.run(
+            [sys.executable, "-m", "semicon.cli", "run", path,
+             "--out", str(tmp_path / name)],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+    assert canonical_reports(tmp_path / "unset") == \
+        canonical_reports(tmp_path / "one")
 
 
 # per sweep axis: the values a config lists, as report names and the
@@ -155,9 +239,9 @@ reps = 2
     assert names == sorted(f"ours-{axis}{v}-rep{r}.report.jsonl"
                            for v in printed for r in range(2))
     rows = read_csv(out / "aggregate.csv")
-    assert rows[0] == [axis, "mean_final_avg", "std_final_avg",
+    assert rows[0] == ["method", axis, "mean_final_avg", "std_final_avg",
                        "mean_label_fraction", "reps"]
-    assert [r[0] for r in rows[1:]] == in_aggregate
+    assert [r[:2] for r in rows[1:]] == [["ours", v] for v in in_aggregate]
     assert run_cli("plot-data", str(out)) == 0
     # the other axes hold one value here, too few for a curve
     assert [p.name for p in out.glob("accuracy_vs_*.csv")] == \
@@ -509,14 +593,18 @@ def _malformed(edit):
     (_malformed({"accuracy": [[1.2, 1.2]], "final_avg": 1.2}), "[0, 1]"),
     (_malformed({"accuracy": [[0.5], [0.5, 0.5]]}), "equal width"),
     (_malformed({"config": [1, 2]}), "string method"),
+    (_malformed({"final_avg": float("nan")}), "mean of the last row"),
 ], ids=["not_an_object", "empty_accuracy", "label_fraction_above_one",
-        "accuracy_above_one", "ragged_rows", "config_not_an_object"])
+        "accuracy_above_one", "ragged_rows", "config_not_an_object",
+        "final_avg_nan"])
 def test_malformed_report_line_is_data_error(tmp_path, capsys, line, message):
     (tmp_path / "in").mkdir()
     (tmp_path / "in" / "r0.report.jsonl").write_text(line + "\n")
-    assert cli.main(["plot-data", str(tmp_path / "in")]) == 2
+    out = tmp_path / "out"
+    assert cli.main(["plot-data", str(tmp_path / "in"), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and message in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("edit, message", [

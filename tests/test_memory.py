@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import reference
+from reference import CountingOracle
 from semicon.memory import (
     MemoryBuffer,
     Oracle,
@@ -29,18 +30,6 @@ def make_stream(n):
 
 def ids_oracle(n, mod=10):
     return Oracle(np.arange(n) % mod)
-
-
-class CountingOracle(Oracle):
-    """Oracle that tallies every label it hands out."""
-
-    def __init__(self, labels):
-        super().__init__(labels)
-        object.__setattr__(self, "calls", [0])
-
-    def label(self, source_ids):
-        self.calls[0] += np.size(source_ids)
-        return super().label(source_ids)
 
 
 def fill(capacity, n, seed=0, oracle=None):

@@ -17,7 +17,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("script, args", [
-    ("run_synthetic.py", ["--reps", "1", "--per-class", "5"]),
     ("label_budget.py", ["--stream-length", "300", "--sizes", "20"]),
 ])
 def test_script_exits_zero(script, args, tmp_path):
@@ -45,6 +44,21 @@ def test_script_configs_parse_and_alpha_sweep_runs(tmp_path):
     rows = (tmp_path / "out" / "accuracy_vs_alpha.csv").read_text().splitlines()
     assert rows[0] == "method,alpha,mean_final_avg,std_final_avg,reps"
     assert [r.split(",")[1] for r in rows[1:]] == [f"{a:g}" for a in grid]
+
+
+def test_methods_config_runs_every_method_on_the_same_seeds(tmp_path):
+    path = str(ROOT / "scripts" / "methods.cfg")
+    methods = ["ours", "scr", "scr-mo", "er", "er-mo", "finetune", "offline"]
+    assert cli.parse_config_file(path)["method"] == methods
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--reps", "1", "--out", str(out)]) == 0
+    names = sorted(p.name for p in out.glob("*.report.jsonl"))
+    assert names == sorted(f"{m}-rep0.report.jsonl" for m in methods)
+    rows = (out / "aggregate.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == methods
+    assert cli.main(["plot-data", str(out)]) == 0
+    rows = (out / "relative_vs_label_fraction.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["ours", "scr-mo"]
 
 
 def readme_commands():
@@ -75,12 +89,7 @@ def test_readme_commands_parse_and_name_existing_files():
                 continue
             if args.config is not None:
                 args.config = str(ROOT / args.config)
-            # what cmd_run checks before it writes anything
-            cfg = cli._merge_config(args)
-            for axis, value in cli._sweep_points(cfg):
-                for rep in range(cfg["reps"]):
-                    cli._train_config(cfg, seed=cfg["seed"] + rep, axis=axis,
-                                      value=value)
+            cli._plan(cli._merge_config(args))
         elif tokens[0] == "python3" and tokens[1].startswith("scripts/"):
             seen.add(tokens[1])
             assert (ROOT / tokens[1]).is_file(), tokens

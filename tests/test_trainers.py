@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import reference
+from reference import CountingOracle
 from semicon import autodiff as ad
 from semicon import losses, trainers
 from semicon.errors import ConfigError, NumericError
-from semicon.memory import Oracle
 from semicon.models import ConvSpec, MlpSpec, bind, init_params
 from semicon.reports import canonical_json, from_json, to_json
 from semicon.stream import (
@@ -283,18 +283,6 @@ def test_scr_mo_batch_is_mem_batch_once_full(monkeypatch):
     assert len(sizes) == rep.steps - 1
     assert sizes[0] == 5  # batch 1 already left 5 items in memory
     assert all(s == 5 for s in sizes)
-
-
-class CountingOracle(Oracle):
-    """Oracle that tallies every label it hands out."""
-
-    def __init__(self, labels):
-        super().__init__(labels)
-        object.__setattr__(self, "calls", [0])
-
-    def label(self, source_ids):
-        self.calls[0] += np.size(source_ids)
-        return super().label(source_ids)
 
 
 def test_budgeted_methods_never_touch_stream_labels():
