@@ -336,12 +336,10 @@ def _grouped(reports: list[RunReport], axis: str):
 
 def _check_consistent(group: list[RunReport], ignore: set[str],
                       context: str) -> None:
+    keys = set().union(*(rep.config for rep in group)) - ignore
     base = group[0].config
-    divergent = set()
-    for rep in group[1:]:
-        for key in base:
-            if key not in ignore and rep.config.get(key) != base[key]:
-                divergent.add(key)
+    divergent = {key for key in keys for rep in group[1:]
+                 if rep.config.get(key) != base.get(key)}
     if divergent:
         raise DataError(f"inconsistent configs in {context}: "
                         f"divergent keys: {sorted(divergent)}")

@@ -77,47 +77,42 @@ def predict(means: ClassMeans, enc: Encoder, xs: np.ndarray) -> np.ndarray:
     return nearest_mean(means, encode(enc, xs))
 
 
-def _all_rows(test_sets: tuple[LabeledDataset, ...]):
-    """The features and labels of one or more test sets, concatenated
-    in order, and the row at which each set after the first starts."""
-    starts = np.cumsum([len(ts) for ts in test_sets])[:-1]
-    return (np.concatenate([ts.features for ts in test_sets]),
-            np.concatenate([ts.labels for ts in test_sets]), starts)
-
-
-def _per_set(hits: np.ndarray, starts: np.ndarray) -> list[float]:
-    return [float(np.mean(part)) for part in np.split(hits, starts)]
+def _per_task(hits: np.ndarray, test_tasks: tuple[np.ndarray, ...]) -> list[float]:
+    """Mean of `hits`, one per test row, over each task's row ids."""
+    return [float(np.mean(hits[ids])) for ids in test_tasks]
 
 
 def evaluate(
     enc: Encoder,
     memory: MemoryBuffer,
-    test_sets: tuple[LabeledDataset, ...],
+    test_tasks: tuple[np.ndarray, ...],
+    test: LabeledDataset,
 ) -> tuple[list[float], list[int]]:
-    """NCM accuracy per test set, plus classes unrepresented in memory.
+    """NCM accuracy per task, plus test classes unrepresented in memory.
 
-    All test rows are predicted in one call. Test samples of an absent
-    class can never be predicted correctly; they stay in the
+    Task k scores the rows `test_tasks[k]` of `test`. All test rows are
+    predicted in one call, in their stored order. Test samples of an
+    absent class can never be predicted correctly; they stay in the
     denominator and the class is reported back.
     """
     means = fit_ncm(enc, memory)
-    features, labels, starts = _all_rows(test_sets)
-    hits = predict(means, enc, features) == labels
-    return _per_set(hits, starts), np.setdiff1d(labels, means.class_ids).tolist()
+    hits = predict(means, enc, test.features) == test.labels
+    return (_per_task(hits, test_tasks),
+            np.setdiff1d(test.labels, means.class_ids).tolist())
 
 
 def head_accuracy(
     enc: Encoder,
     weight: np.ndarray,
     bias: np.ndarray,
-    test_sets: tuple[LabeledDataset, ...],
+    test_tasks: tuple[np.ndarray, ...],
+    test: LabeledDataset,
 ) -> list[float]:
-    """Accuracy of a linear head over encoder latents, per test set.
+    """Accuracy of a linear head over encoder latents, per task.
 
     Used by the cross-entropy baselines, whose native classifier is the
-    trained head rather than NCM over memory. All test rows are encoded
-    in one call.
+    trained head rather than NCM over memory. Task k scores the rows
+    `test_tasks[k]` of `test`; all test rows are encoded in one call.
     """
-    features, labels, starts = _all_rows(test_sets)
-    logits = encode(enc, features) @ weight + bias
-    return _per_set(np.argmax(logits, axis=1) == labels, starts)
+    logits = encode(enc, test.features) @ weight + bias
+    return _per_task(np.argmax(logits, axis=1) == test.labels, test_tasks)

@@ -2,7 +2,8 @@
 
 A stream presents K tasks of disjoint classes, one pass, in task order,
 as small unlabeled batches of source ids. Labels never ride along with
-stream samples, though `TaskStream.data.labels` holds them. The training
+stream samples, though `TaskStream.data.labels` holds them. Each task's
+test rows are likewise an id array into the one test set. The training
 loop reads a stream label in one of two ways: through the Oracle carried
 by the stream when the reservoir stores a sample (charged), or by the
 supervised baselines' direct lookup (uncharged).
@@ -47,21 +48,20 @@ class LabeledDataset:
     def classes(self) -> np.ndarray:
         return np.unique(self.labels)
 
-    def subset(self, indices: np.ndarray) -> "LabeledDataset":
-        return LabeledDataset(self.features[indices], self.labels[indices])
-
 
 @dataclass(frozen=True, eq=False)
 class TaskStream:
     """Ordered tasks over one training dataset, iterated exactly once:
-    each task is an array of source ids in emission order, with its own
-    test set. Build one with `split_dataset`."""
+    each task is an array of source ids in emission order. `test` is the
+    test data as given, and `test_tasks[k]` the ascending ids of task k's
+    rows in it. Build one with `split_dataset`."""
 
     tasks: tuple[np.ndarray, ...]
     data: LabeledDataset
     batch_size: int
     oracle: Oracle
-    test_sets: tuple[LabeledDataset, ...]
+    test: LabeledDataset
+    test_tasks: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -86,10 +86,10 @@ def split_dataset(
 
     Class groups are ascending by id; within-task sample order is
     shuffled by the seed. Tasks hold source ids; the labels stay in
-    `data.labels`. The test data, which is required, is split by the
-    same class groups into one test set per task. A test class absent
-    from training, or a task with no test row, raises `DataError`: no
-    accuracy could score those rows.
+    `data.labels`. The test data, which is required, is kept as given,
+    not copied; each task's test rows are the ids of its class group's
+    rows in it. A test class absent from training, or a task with no
+    test row, raises `DataError`: no accuracy could score those rows.
     """
     if n_tasks < 1:
         raise ConfigError(f"task count must be >= 1, got {n_tasks}")
@@ -104,20 +104,20 @@ def split_dataset(
 
     tasks = [shuffle_rng.permutation(np.flatnonzero(np.isin(data.labels, g)))
              for g in groups]
-    test_sets = [test_data.subset(np.flatnonzero(np.isin(test_data.labels, g)))
-                 for g in groups]
-    if sum(map(len, test_sets)) < len(test_data):
+    test_tasks = [np.flatnonzero(np.isin(test_data.labels, g)) for g in groups]
+    if sum(map(len, test_tasks)) < len(test_data):
         absent = np.setdiff1d(test_data.classes, classes)
         raise DataError(f"test class {absent[0]} is absent from training")
-    for k, (group, test) in enumerate(zip(groups, test_sets)):
-        if not len(test):
+    for k, (group, ids) in enumerate(zip(groups, test_tasks)):
+        if not len(ids):
             raise DataError(f"task {k} (classes {group.tolist()}) has no test rows")
     return TaskStream(
         tasks=tuple(tasks),
         data=data,
         batch_size=batch_size,
         oracle=Oracle(data.labels),
-        test_sets=tuple(test_sets),
+        test=test_data,
+        test_tasks=tuple(test_tasks),
     )
 
 

@@ -232,9 +232,9 @@ def run(cfg: TrainConfig, stream: TaskStream,
 
     def head_scores():
         return head_accuracy(enc, params["head/w"], params["head/b"][0],
-                             stream.test_sets)
+                             stream.test_tasks, stream.test)
 
-    # row k: accuracy on each test set after schedule item k
+    # row k: accuracy on each task's test rows after schedule item k
     rows: list[list[float]] = []
     missing: list[int] = []
     trace: list[float] = []
@@ -274,7 +274,7 @@ def run(cfg: TrainConfig, stream: TaskStream,
         if memory is None:
             rows.append(head_scores())
         else:
-            row, missing = evaluate(enc, memory, stream.test_sets)
+            row, missing = evaluate(enc, memory, stream.test_tasks, stream.test)
             rows.append(row)
 
     if contrastive:

@@ -3,8 +3,10 @@
 The benchmark's tracer swaps functions looked up as `vars(owner)[attr]`,
 its output checks read memory records through `MemoryBuffer.items`, and
 its loss check reads the labels and pair map of a `MultiviewIndex` and
-the settings of a `LossConfig`. A refactor that drops any of these would
-otherwise fail only the benchmark's own tests. Its per-layer metrics
+the settings of a `LossConfig`, and its evaluation throughput counts the
+test rows from the third argument of `evaluate` and the fourth of
+`head_accuracy`. A refactor that drops any of these would otherwise
+fail only the benchmark's own tests. Its per-layer metrics
 count training ops as those outside an evaluation span, so ops that
 `models.encode` runs on worker threads must still land inside one.
 """
@@ -37,6 +39,19 @@ def test_every_traced_name_resolves():
     tracing = load("tracing")
     for owner, attr, span, _ in tracing.BOUNDARY + tracing.LAYERS:
         assert callable(vars(owner).get(attr)), f"{span}: {attr} is not defined"
+
+
+@pytest.mark.parametrize("method, head_scorings", [("ours", 0), ("er", 1)])
+def test_traced_evaluations_count_every_test_row_per_scoring(method, head_scorings):
+    tracing = load("tracing")
+    stream = make_synthetic(6, 5, 4.0, 10, 3, seed=3, batch_size=5, test_per_class=7)
+    cfg = trainers.TrainConfig(method, stream_batch=5, mem_size=12, mem_batch=5)
+    tracer = tracing.Tracer(tracing.BOUNDARY)
+    with tracer.install():
+        trainers.run(cfg, stream, MlpSpec(in_dim=5, hidden=(8,)))
+    n_test = 6 * 7
+    assert tracer.counts["evaluation.evaluate"] == n_test * len(stream.tasks)
+    assert tracer.counts["evaluation.head_accuracy"] == n_test * head_scorings
 
 
 @pytest.fixture(scope="module")

@@ -580,6 +580,21 @@ def test_plot_data_rejects_inconsistent_groups(tmp_path, capsys):
     assert "inconsistent configs" in err and "tau" in err
 
 
+@pytest.mark.parametrize("extra_first", [False, True],
+                         ids=["extra_key_second", "extra_key_first"])
+def test_plot_data_rejects_a_key_only_one_report_echoes(tmp_path, capsys, extra_first):
+    # a group is compared in seed order, so the seeds set which report is first
+    extra = fake_report("ours", 0 if extra_first else 1, 0.6, alpha=0.1)
+    extra.config["reduction"] = "mean"
+    plain = fake_report("ours", 1 if extra_first else 0, 0.5, alpha=0.1)
+    write_report_files(tmp_path / "in",
+                       [plain, extra, fake_report("ours", 2, 0.7, alpha=1.0)])
+    assert cli.main(["plot-data", str(tmp_path / "in")]) == 2
+    err = capsys.readouterr().err
+    assert "inconsistent configs in alpha=0.1 (ours)" in err
+    assert "divergent keys: ['reduction']" in err
+
+
 def _malformed(edit):
     raw = json.loads(to_json(fake_report("ours", 0, 0.5, alpha=0.1)))
     raw.update(edit)

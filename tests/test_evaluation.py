@@ -18,7 +18,7 @@ from semicon.evaluation import (
 )
 from semicon.memory import MemoryBuffer, Oracle, reservoir_update_batch
 from semicon.models import MlpSpec, encode, init_params
-from semicon.stream import LabeledDataset
+from semicon.stream import LabeledDataset, split_dataset
 
 
 def make_memory(feats, labels):
@@ -32,6 +32,11 @@ def make_memory(feats, labels):
 def make_encoder(in_dim, out_dim=6, seed=0):
     enc, _ = init_params(seed, MlpSpec(in_dim=in_dim, hidden=(8,), out_dim=out_dim))
     return enc
+
+
+def one_task(test):
+    """(test_tasks, test) for a single task holding every row of `test`."""
+    return (np.arange(len(test)),), test
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +190,9 @@ def test_evaluate_flags_missing_classes():
     enc = make_encoder(2)
     buf = make_memory([[1.0, 0.0], [0.0, 1.0]], [0, 1])
     rng = np.random.default_rng(5)
-    test_sets = (
-        LabeledDataset(rng.normal(size=(6, 2)), [0, 0, 1, 1, 2, 2]),
-        LabeledDataset(rng.normal(size=(4, 2)), [3, 3, 1, 0]),
-    )
-    row, missing = evaluate(enc, buf, test_sets)
+    test = LabeledDataset(rng.normal(size=(10, 2)),
+                          [0, 0, 1, 1, 2, 2, 3, 3, 1, 0])
+    row, missing = evaluate(enc, buf, (np.arange(6), np.arange(6, 10)), test)
     assert len(row) == 2
     assert missing == [2, 3]
     # absent classes stay in the denominator
@@ -205,7 +208,7 @@ def test_evaluate_perfect_on_separated_blobs():
     labels = np.repeat([0, 1, 2], 20)
     enc = make_encoder(3, seed=1)
     buf = make_memory(feats, labels)
-    row, missing = evaluate(enc, buf, (LabeledDataset(feats, labels),))
+    row, missing = evaluate(enc, buf, *one_task(LabeledDataset(feats, labels)))
     assert missing == []
     assert row[0] == 1.0
 
@@ -215,17 +218,19 @@ def test_evaluate_is_projection_independent():
     rng = np.random.default_rng(7)
     feats = rng.normal(size=(10, 3))
     buf = make_memory(feats, rng.integers(0, 2, size=10))
-    ts = (LabeledDataset(rng.normal(size=(12, 3)), rng.integers(0, 2, 12)),)
-    before = evaluate(enc, buf, ts)
+    ts = one_task(LabeledDataset(rng.normal(size=(12, 3)), rng.integers(0, 2, 12)))
+    before = evaluate(enc, buf, *ts)
     for name in proj.params:
         proj.params[name] += 100.0
-    assert evaluate(enc, buf, ts) == before
+    assert evaluate(enc, buf, *ts) == before
 
 
-def uneven_sets(rng, dim, sizes=(7, 50, 13), n_classes=3):
-    return tuple(LabeledDataset(rng.normal(size=(n, dim)),
-                                rng.integers(0, n_classes, size=n))
-                 for n in sizes)
+def uneven_tasks(rng, dim, sizes=(7, 50, 13), n_classes=3):
+    """Tasks of the given sizes over one test set, their rows interleaved."""
+    n = sum(sizes)
+    test = LabeledDataset(rng.normal(size=(n, dim)), rng.integers(0, n_classes, size=n))
+    cuts = np.cumsum(sizes)[:-1]
+    return tuple(np.sort(ids) for ids in np.split(rng.permutation(n), cuts)), test
 
 
 def count_encodes(monkeypatch):
@@ -243,12 +248,12 @@ def test_evaluate_predicts_every_test_row_in_one_call(monkeypatch):
     enc = make_encoder(3, seed=4)
     rng = np.random.default_rng(12)
     buf = make_memory(rng.normal(size=(9, 3)), rng.integers(0, 3, size=9))
-    test_sets = uneven_sets(rng, 3)
+    test_tasks, test = uneven_tasks(rng, 3)
     means = fit_ncm(enc, buf)
-    alone = [float(np.mean(predict(means, enc, ts.features) == ts.labels))
-             for ts in test_sets]
+    alone = [float(np.mean(predict(means, enc, test.features[ids]) == test.labels[ids]))
+             for ids in test_tasks]
     rows = count_encodes(monkeypatch)
-    row, missing = evaluate(enc, buf, test_sets)
+    row, missing = evaluate(enc, buf, test_tasks, test)
     assert row == alone and missing == []
     assert rows == [9, 70]  # the memory, then every test row at once
 
@@ -257,13 +262,50 @@ def test_head_accuracy_encodes_every_test_row_in_one_call(monkeypatch):
     enc = make_encoder(3, out_dim=4, seed=5)
     rng = np.random.default_rng(13)
     weight, bias = rng.normal(size=(4, 3)), rng.normal(size=3)
-    test_sets = uneven_sets(rng, 3)
-    alone = [float(np.mean(np.argmax(encode(enc, ts.features) @ weight + bias,
-                                     axis=1) == ts.labels))
-             for ts in test_sets]
+    test_tasks, test = uneven_tasks(rng, 3)
+    alone = [float(np.mean(np.argmax(encode(enc, test.features[ids]) @ weight + bias,
+                                     axis=1) == test.labels[ids]))
+             for ids in test_tasks]
     rows = count_encodes(monkeypatch)
-    assert head_accuracy(enc, weight, bias, test_sets) == alone
+    assert head_accuracy(enc, weight, bias, test_tasks, test) == alone
     assert rows == [70]
+
+
+def test_shuffled_test_rows_score_as_class_sorted_ones():
+    # real CIFAR files hold test rows in shuffled class order
+    rng = np.random.default_rng(14)
+    n_classes, dim = 6, 4
+    centers = 3.0 * rng.normal(size=(n_classes, dim))
+
+    def blobs(per_class):
+        labels = rng.permutation(np.repeat(np.arange(n_classes), per_class))
+        return LabeledDataset(centers[labels] + rng.normal(size=(len(labels), dim)),
+                              labels)
+
+    train, shuffled = blobs(8), blobs(15)
+    order = np.argsort(shuffled.labels, kind="stable")
+    ordered = LabeledDataset(shuffled.features[order], shuffled.labels[order])
+    streams = [split_dataset(train, 3, seed=1, test_data=test)
+               for test in (shuffled, ordered)]
+
+    stream = streams[0]
+    assert np.shares_memory(stream.test.features, shuffled.features)
+    assert np.array_equal(np.sort(np.concatenate(stream.test_tasks)),
+                          np.arange(len(shuffled)))
+    for k, ids in enumerate(stream.test_tasks):
+        assert np.all(np.diff(ids) > 0)
+        assert np.unique(shuffled.labels[ids]).tolist() == [2 * k, 2 * k + 1]
+
+    enc = make_encoder(dim, out_dim=5, seed=6)
+    buf = make_memory(train.features, train.labels)
+    weight, bias = rng.normal(size=(5, n_classes)), rng.normal(size=n_classes)
+    scores = [(evaluate(enc, buf, s.test_tasks, s.test),
+               head_accuracy(enc, weight, bias, s.test_tasks, s.test))
+              for s in streams]
+    assert scores[0] == scores[1]
+    (row, missing), head_row = scores[0]
+    assert len(row) == len(head_row) == 3 and missing == []
+    assert len(set(row)) > 1 and len(set(head_row)) > 1
 
 
 def test_chance_level_on_unstructured_latents():
@@ -273,7 +315,7 @@ def test_chance_level_on_unstructured_latents():
     feats = rng.normal(size=(400, 5))
     labels = rng.integers(0, n_classes, size=400)
     buf = make_memory(feats[:200], labels[:200])
-    row, _ = evaluate(enc, buf, (LabeledDataset(feats[200:], labels[200:]),))
+    row, _ = evaluate(enc, buf, *one_task(LabeledDataset(feats[200:], labels[200:])))
     assert abs(row[0] - 1 / n_classes) < 0.12
 
 
@@ -292,5 +334,5 @@ def test_head_accuracy_on_a_hand_built_head():
     weight = np.zeros((4, 2))
     weight[0, 1] = 1.0
     bias = np.array([cut, 0.0])
-    row = head_accuracy(enc, weight, bias, (LabeledDataset(feats, labels),))
+    row = head_accuracy(enc, weight, bias, *one_task(LabeledDataset(feats, labels)))
     assert row[0] > 0.9

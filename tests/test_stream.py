@@ -152,8 +152,8 @@ def test_test_sets_follow_task_classes():
     data = toy_dataset(seed=0)
     test = toy_dataset(seed=1)
     stream = split_dataset(data, n_tasks=2, seed=0, test_data=test)
-    for classes, ts in zip(task_classes(stream), stream.test_sets):
-        assert np.unique(ts.labels).tolist() == classes
+    for classes, ids in zip(task_classes(stream), stream.test_tasks):
+        assert np.unique(test.labels[ids]).tolist() == classes
 
 
 @pytest.mark.parametrize("n_classes, n_tasks", [(4, 2), (10, 5), (100, 20), (4, 1)],
@@ -174,9 +174,9 @@ def test_split_is_a_partition_of_equal_ascending_class_groups(n_classes, n_tasks
     assert [len(g) for g in groups] == [per_task] * n_tasks
     assert flat == data.classes.tolist()
     assert sorted(emitted_ids(stream)) == list(range(len(data)))
-    assert len(stream.test_sets) == n_tasks
-    for g, ts in zip(groups, stream.test_sets):
-        assert np.unique(ts.labels).tolist() == g
+    assert len(stream.test_tasks) == n_tasks
+    for g, ids in zip(groups, stream.test_tasks):
+        assert np.unique(test.labels[ids]).tolist() == g
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +329,8 @@ def test_synthetic_geometry():
                             n_tasks=2, seed=0)
     assert task_classes(stream) == [[0, 1], [2, 3]]
     assert len(stream.data) == 80
-    assert len(stream.test_sets) == 2
+    assert len(stream.test_tasks) == 2
+    assert sorted(np.concatenate(stream.test_tasks)) == list(range(len(stream.test)))
 
 
 def test_synthetic_deterministic():
