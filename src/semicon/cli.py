@@ -69,7 +69,6 @@ SCHEMA = {
     "seed": int,
     "alpha": float,
     "tau": float,
-    "galpha_on": str,
     "stream_batch": int,
     "mem_batch": int,
     "mem_size": int,
@@ -108,8 +107,8 @@ SYNTHETIC_KEYS = ("n_classes", "dim", "separation", "per_class", "test_per_class
 
 # config keys that `run` also takes as flags (mem_size as --mem-size);
 # a flag overrides the config file
-RUN_FLAGS = ("method", "dataset", "alpha", "tau", "galpha_on", "mem_size",
-             "mem_batch", "stream_batch", "lr", "epochs", "seed", "reps", "out")
+RUN_FLAGS = ("method", "dataset", "alpha", "tau", "mem_size", "mem_batch",
+             "stream_batch", "lr", "epochs", "seed", "reps", "out")
 
 
 def parse_config_file(path: str) -> dict:

@@ -4,10 +4,11 @@ A batch of b sources (b_l labeled, b_u unlabeled) is expanded to 2b
 augmented views. Labeled anchors pull toward every same-class view, with
 the whole batch (labeled and unlabeled alike) serving as negatives;
 unlabeled anchors pull only toward their own second view. One softmax
-pass gives every anchor's loss; the unified objective is the labeled
-anchors' sum L_m plus alpha times the unlabeled anchors' sum L_u.
-Anchors are summed, not averaged (a per-anchor mean sits behind
-``reduction="mean"`` for batch-size-invariant comparisons).
+pass gives every anchor's loss; the unified objective is L_m (labeled
+anchors) plus alpha times L_u (unlabeled anchors). Training averages each
+term over its anchors, so the step does not grow with the batch; the
+default ``reduction="sum"`` and ``galpha_on`` serve the tests' scalar
+oracles and the benchmark's loss check.
 
 Softmax denominators exclude the anchor itself and are evaluated in log
 space with the row max (over the denominator's domain) subtracted as a
@@ -135,7 +136,7 @@ def _per_anchor_losses(z: Var, positives: np.ndarray, tau: float) -> Var:
 
 def _terms(z: Var, idx: MultiviewIndex, mask: np.ndarray,
            cfg: LossConfig) -> tuple[Var, Var]:
-    """(L_m, L_u): group sums of one per-anchor column; an empty group is 0."""
+    """(L_m, L_u): group sums or means of one per-anchor column, 0 if empty."""
     per_anchor = _per_anchor_losses(z, mask, cfg.tau)
     terms = []
     for group in (idx.labeled, ~idx.labeled):
@@ -164,7 +165,8 @@ def semicon(z: Var, idx: MultiviewIndex, mask: np.ndarray, cfg: LossConfig) -> V
     """Unified loss: labeled term + alpha * unlabeled term, from one pass.
 
     ``galpha_on="labeled"`` moves the weight onto the labeled term
-    instead (the per-anchor-weight reading of the unified form).
+    instead. Training never sets it; at alpha a it is the default
+    placement at alpha 1/a with an a times larger step.
     """
     lm, lu = _terms(z, idx, mask, cfg)
     if cfg.galpha_on == "labeled":

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 
 from .errors import DataError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass

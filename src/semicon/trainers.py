@@ -55,7 +55,6 @@ SUPERVISED_METHODS = ("scr", "er", "finetune", "offline")
 # stays None on every other method, and setting it there is an error
 APPLIES = {
     "alpha": (("ours",), losses.LossConfig.alpha),
-    "galpha_on": (("ours",), losses.LossConfig.galpha_on),
     "tau": (CONTRASTIVE_METHODS, losses.LossConfig.tau),
     "mem_size": (MEMORY_METHODS, 200),
     "mem_batch": (MEMORY_METHODS, 100),
@@ -72,7 +71,6 @@ class TrainConfig:
     method: str
     alpha: float | None = None
     tau: float | None = None
-    galpha_on: str | None = None
     stream_batch: int = 10
     mem_batch: int | None = None
     mem_size: int | None = None
@@ -114,12 +112,13 @@ class TrainConfig:
             self.loss_config()
 
     def loss_config(self) -> losses.LossConfig:
-        """Contrastive loss settings; `LossConfig` fills what is unset and
-        owns the checks, whose failures surface as `ConfigError`."""
-        given = {name: getattr(self, name) for name in ("tau", "alpha", "galpha_on")
+        """Contrastive loss settings, each term a mean over its anchors;
+        `LossConfig` fills what is unset and owns the checks, whose
+        failures surface as `ConfigError`."""
+        given = {name: getattr(self, name) for name in ("tau", "alpha")
                  if getattr(self, name) is not None}
         try:
-            return losses.LossConfig(**given)
+            return losses.LossConfig(reduction="mean", **given)
         except ValueError as e:
             raise ConfigError(str(e)) from None
 

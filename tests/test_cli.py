@@ -266,8 +266,7 @@ def test_alpha_on_wrong_method_is_config_error(capsys):
 
 
 @pytest.mark.parametrize("setting", ["--tau=-1", "--tau=inf", "--alpha=-0.5",
-                                     "--alpha=nan", "--alpha=inf", "--lr=inf",
-                                     "--galpha-on=both", "galpha_on = both"])
+                                     "--alpha=nan", "--alpha=inf", "--lr=inf"])
 def test_bad_loss_setting_is_config_error(tmp_path, capsys, monkeypatch,
                                           setting):
     monkeypatch.chdir(tmp_path)
@@ -342,7 +341,6 @@ INVALID = {
     "seed": ("seed = -1", 1),
     "alpha": ("alpha = -0.5", 1),
     "tau": ("tau = -1", 1),
-    "galpha_on": ("galpha_on = both", 1),
     "stream_batch": ("stream_batch = 0", 1),
     "mem_batch": ("mem_batch = 0", 1),
     "mem_size": ("mem_size = 0", 1),
@@ -609,9 +607,12 @@ def _malformed(edit):
     (_malformed({"accuracy": [[0.5], [0.5, 0.5]]}), "equal width"),
     (_malformed({"config": [1, 2]}), "string method"),
     (_malformed({"final_avg": float("nan")}), "mean of the last row"),
+    # schema 1 summed the contrastive loss over anchors, with a config echo
+    # that cannot tell it from schema 2's mean; plot-data must not pool them
+    (_malformed({"schema": 1}), "unsupported report schema: 1"),
 ], ids=["not_an_object", "empty_accuracy", "label_fraction_above_one",
         "accuracy_above_one", "ragged_rows", "config_not_an_object",
-        "final_avg_nan"])
+        "final_avg_nan", "schema_1"])
 def test_malformed_report_line_is_data_error(tmp_path, capsys, line, message):
     (tmp_path / "in").mkdir()
     (tmp_path / "in" / "r0.report.jsonl").write_text(line + "\n")

@@ -11,7 +11,8 @@ to its entry: structure, strings and integers exactly, floats to a
 relative 1e-9.
 
 Regenerate the fixture only for a change that is meant to alter
-behaviour, and say so in CHANGES.md:
+behaviour, and say so in CHANGES.md, with the list of changed report
+fields per encoder and method that the script prints:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -103,9 +104,24 @@ def test_conv_report_matches_golden(method):
     assert_matches(canonical_report("conv", method), want, method)
 
 
+def changed_fields(got: dict, want: dict) -> list[str]:
+    """Top-level report fields where `got` fails to match `want`."""
+    changed = []
+    for key in sorted(got.keys() | want.keys()):
+        try:
+            assert_matches(got.get(key), want.get(key))
+        except AssertionError:
+            changed.append(key)
+    return changed
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for encoder, path in FIXTURES.items():
+        old = json.loads(path.read_text()) if path.exists() else {}
         golden = {m: canonical_report(encoder, m) for m in METHODS}
+        for method, report in golden.items():
+            changed = changed_fields(report, old.get(method, {}))
+            print(f"{encoder} {method}: {', '.join(changed) or 'unchanged'}")
         path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
         print(f"wrote {path}")

@@ -47,7 +47,6 @@ def test_config_fills_method_defaults():
     cfg = TrainConfig(method="ours")
     assert cfg.alpha == 1.0
     assert cfg.tau == 0.07
-    assert cfg.galpha_on == "unlabeled"
     assert cfg.mem_size == 200 and cfg.mem_batch == 100
     off = TrainConfig(method="offline")
     assert off.epochs == 50
@@ -55,15 +54,15 @@ def test_config_fills_method_defaults():
 
 
 def test_loss_config_fills_unified_defaults():
-    ours = TrainConfig(method="ours", alpha=0.3, galpha_on="labeled", tau=0.2)
+    ours = TrainConfig(method="ours", alpha=0.3, tau=0.2)
     assert ours.loss_config() == losses.LossConfig(
-        tau=0.2, alpha=0.3, galpha_on="labeled")
-    # scr leaves alpha and galpha_on unset; the report keeps them None
+        tau=0.2, alpha=0.3, reduction="mean")
+    # scr leaves alpha unset; the report keeps it None
     scr = TrainConfig(method="scr")
-    assert scr.loss_config() == losses.LossConfig(tau=0.07)
-    assert scr.alpha is None and scr.galpha_on is None
-    # the trainer's defaults are the loss's own
-    assert TrainConfig("ours").loss_config() == losses.LossConfig()
+    assert scr.loss_config() == losses.LossConfig(tau=0.07, reduction="mean")
+    assert scr.alpha is None
+    # the trainer's defaults are the loss's own; it averages over anchors
+    assert TrainConfig("ours").loss_config() == losses.LossConfig(reduction="mean")
 
 
 def test_config_rejects_foreign_fields():
@@ -77,8 +76,6 @@ def test_config_rejects_foreign_fields():
         TrainConfig(method="finetune", mem_size=100)
     with pytest.raises(ConfigError, match="mem_batch does not apply to finetune"):
         TrainConfig(method="finetune", mem_batch=10)
-    with pytest.raises(ConfigError, match="galpha_on does not apply"):
-        TrainConfig(method="er-mo", galpha_on="labeled")
     with pytest.raises(ConfigError, match="unknown method"):
         TrainConfig(method="dreaming")
 
@@ -118,10 +115,12 @@ def test_diverging_loss_stops_the_run(method, where):
     ("offline", 30.0, "all tasks"),  # only its linear head overflows
 ], ids=["ours", "offline"])
 def test_diverged_parameters_are_never_scored(method, separation, where):
-    # one step on one batch: its loss is finite, the update overflows
+    # one step on one batch: its loss is finite, the update overflows; the
+    # anchor-mean gradient of ours is large enough only at a sharp tau
     stream = make_synthetic(4, 6, separation, 5, 1, seed=0, batch_size=20,
                             test_per_class=5)
-    kw = {"mem_size": 20, "mem_batch": 10} if method == "ours" else {"epochs": 1}
+    kw = ({"mem_size": 20, "mem_batch": 10, "tau": 0.01} if method == "ours"
+          else {"epochs": 1})
     cfg = TrainConfig(method, stream_batch=20, learning_rate=1e308, **kw)
     with pytest.raises(NumericError,
                        match=rf"^{method}: parameter \S+ is not finite \({where}\)"):
@@ -356,7 +355,8 @@ def test_scr_step0_loss_matches_semicon_on_all_labeled_batch():
     bound = bind(tape, {**enc.params, **proj.params})
     z = proj.apply(bound, enc.apply(bound, tape.const(enc.prepare(views))))
     want = float(losses.semicon(z, idx, losses.build_masks(idx),
-                                losses.LossConfig(tau=0.07, alpha=0.31)).data)
+                                losses.LossConfig(tau=0.07, alpha=0.31,
+                                                  reduction="mean")).data)
     assert rep.loss_trace[0] == pytest.approx(want, rel=1e-10)
 
 
