@@ -272,70 +272,68 @@ def _require_4d(op: str, x: Var) -> None:
         raise ShapeError(f"{op}: expected an NHWC tensor, got shape {x.shape}")
 
 
-def im2col(a: Var, k: int) -> Var:
-    """Patch matrix of a valid k x k convolution over an NHWC tensor.
+def im2col(a: Var, k: int, p: int) -> Var:
+    """Patch matrix of a valid k x k convolution over an NHWC tensor,
+    rows grouped by p x p pool offset.
 
-    Row (b, y, x) holds the window at output pixel (y, x) of image b,
-    laid out in (ki, kj, channel) order, so `matmul` with a
-    (k*k*c, out_c) kernel matrix computes the convolution.
+    Row block i*p + j holds, in (b, py, px) order, the (ki, kj, channel)
+    window at conv output (py*p + i, px*p + j) of image b; outputs that
+    no pool window covers get no row. `matmul` with a (k*k*c, out_c)
+    kernel matrix convolves, and `block_max` over the p*p blocks pools.
     """
     _require_4d("im2col", a)
     n, h, w, c = a.shape
-    oh, ow = h - k + 1, w - k + 1
-    if k < 1 or oh < 1 or ow < 1:
-        raise ShapeError(f"im2col: no valid {k}x{k} window in shape {a.shape}")
-    windows = sliding_window_view(a.data, (k, k), axis=(1, 2))  # n, oh, ow, c, k, k
-    out = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, k * k * c)
+    if k < 1 or p < 1 or h - k + 1 < p or w - k + 1 < p:
+        raise ShapeError(f"im2col: no {p}x{p} pool of valid {k}x{k} windows "
+                         f"in shape {a.shape}")
+    ph, pw = (h - k + 1) // p, (w - k + 1) // p
+
+    def patches(values: Array) -> Array:
+        windows = sliding_window_view(values, (k, k), axis=(1, 2))  # n, oh, ow, c, k, k
+        windows = windows[:, :ph * p, :pw * p].reshape(n, ph, p, pw, p, c, k, k)
+        return windows.transpose(2, 4, 0, 1, 3, 6, 7, 5).reshape(-1, k * k * c)
+
+    out = patches(a.data)
 
     def vjp(g: Array):
-        # col2im; offsets in descending (i, j) order add each pixel's
-        # contributions in the order a flat-index scatter would
-        g6 = g.reshape(n, oh, ow, k, k, c)
-        ga = np.zeros((n, h, w, c))
-        for i in range(k - 1, -1, -1):
-            for j in range(k - 1, -1, -1):
-                ga[:, i:i + oh, j:j + ow] += g6[:, :, :, i, j]
-        return (ga,)
+        # col2im: bincount adds each pixel's contributions in patch-matrix
+        # order, as a flat-index scatter of the patch rows would
+        pixel = patches(np.arange(n * h * w * c).reshape(n, h, w, c))
+        ga = np.bincount(pixel.ravel(), weights=g.ravel(), minlength=n * h * w * c)
+        return (ga.reshape(n, h, w, c),)
 
     return _record("im2col", (a,), out, vjp)
 
 
-def maxpool2d(a: Var, p: int) -> Var:
-    """Max over non-overlapping p x p windows of an NHWC tensor.
+def block_max(a: Var, q: int) -> Var:
+    """Elementwise maximum over the q contiguous row blocks of a 2-D tensor.
 
-    Trailing rows and columns that fill no window are dropped. The
-    output is a running maximum over the strided views of the p*p window
-    offsets (i, j) in row-major order, so no window is copied; a NaN
-    anywhere in a window makes its output NaN. On a tie `np.maximum`
-    keeps its second operand, so the running maximum is passed second and
-    a -0.0 / 0.0 tie keeps the earlier value, sign bit included
+    The output is a running maximum over the blocks in order; a NaN in
+    any block makes its output NaN. On a tie `np.maximum` keeps its
+    second operand, so the running maximum is passed second and a
+    -0.0 / 0.0 tie keeps the earlier value, sign bit included
     (`test_maxpool2d_routes_ties_to_first_maximum[signed_zero]` pins
-    this). The gradient goes to the first maximum of each window in
-    row-major order.
+    this). The gradient goes to the first maximum, one whole block at a
+    time; the other entries get the gradient times 0.
     """
-    _require_4d("maxpool2d", a)
-    n, h, w, c = a.shape
-    ph, pw = h // p, w // p
-    if p < 1 or ph < 1 or pw < 1:
-        raise ShapeError(f"maxpool2d: no {p}x{p} window in shape {a.shape}")
-    views = a.data[:, :ph * p, :pw * p].reshape(n, ph, p, pw, p, c)
-    offsets = [(i, j) for i in range(p) for j in range(p)]
-    out = views[:, :, 0, :, 0].copy()
-    for i, j in offsets[1:]:
-        np.maximum(views[:, :, i, :, j], out, out=out)  # out second: it wins ties
-    in_shape = a.shape
+    _require_2d("block_max", a)
+    if q < 1 or a.shape[0] % q:
+        raise ShapeError(f"block_max: {a.shape[0]} rows do not split into {q} blocks")
+    blocks = a.data.reshape(q, -1, a.shape[1])
+    out = blocks[0].copy()
+    for block in blocks[1:]:
+        np.maximum(block, out, out=out)  # out second: it wins ties
 
     def vjp(g: Array):
-        ga = np.zeros(in_shape)
-        gv = ga[:, :ph * p, :pw * p].reshape(n, ph, p, pw, p, c)
+        ga = np.empty(blocks.shape)
         free = np.ones(out.shape, dtype=bool)
-        for i, j in offsets:
-            hit = free & (views[:, :, i, :, j] == out)
-            gv[:, :, i, :, j] = np.where(hit, g, 0.0)
-            free &= ~hit
-        return (ga,)
+        for block, gb in zip(blocks, ga):
+            hit = free & (block == out)
+            np.multiply(g, hit, out=gb)  # g * 0 off the first maximum
+            free ^= hit
+        return (ga.reshape(-1, ga.shape[2]),)
 
-    return _record("maxpool2d", (a,), out, vjp)
+    return _record("block_max", (a,), out, vjp)
 
 
 def reshape(a: Var, shape: tuple[int, ...]) -> Var:

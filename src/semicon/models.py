@@ -25,13 +25,13 @@ from . import autodiff as ad
 from .autodiff import Tape, Var
 from .errors import ShapeError
 
-# input values per encode slice: 42 CIFAR images (about 14 MB of
+# input values per encode slice: 42 CIFAR images (about 11 MB of
 # transient arrays, most of it block 1's patch matrix), or 4096 rows of
 # width 32
 ENCODE_SLICE_VALUES = 1 << 17
 
 # the conv encoder's fixed geometry: valid KERNEL x KERNEL convolutions,
-# each followed by POOL x POOL max-pooling
+# each max-pooled over POOL x POOL windows before its bias and ReLU
 KERNEL = 3
 POOL = 2
 
@@ -45,7 +45,7 @@ class MlpSpec:
 
 @dataclass(frozen=True)
 class ConvSpec:
-    """Two valid 3x3 conv + ReLU + 2x2 max-pool blocks, then a dense layer."""
+    """Two valid 3x3 conv + 2x2 max-pool + bias + ReLU blocks, then a dense layer."""
 
     in_shape: tuple[int, int, int] = (3, 32, 32)  # channels, height, width
     channels: tuple[int, int] = (8, 16)
@@ -104,10 +104,11 @@ class Encoder:
         act = x
         for block, out_c in enumerate(self.spec.channels, start=1):
             n, h, w, _ = act.shape
-            conv = ad.relu(_linear(ad.im2col(act, KERNEL), bound,
-                                   f"enc/c{block}_w", f"enc/c{block}_b"))
-            conv = ad.reshape(conv, (n, h - KERNEL + 1, w - KERNEL + 1, out_c))
-            act = ad.maxpool2d(conv, POOL)
+            conv = ad.matmul(ad.im2col(act, KERNEL, POOL), bound[f"enc/c{block}_w"])
+            # max, + b and ReLU are monotone, so pooling first changes no value
+            pooled = ad.add(ad.block_max(conv, POOL * POOL), bound[f"enc/c{block}_b"])
+            act = ad.reshape(ad.relu(pooled), (n, (h - KERNEL + 1) // POOL,
+                                               (w - KERNEL + 1) // POOL, out_c))
         n, h, w, c = act.shape
         flat = ad.reshape(act, (n, h * w * c))
         return _linear(flat, bound, "enc/dense_w", "enc/dense_b")

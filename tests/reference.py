@@ -4,8 +4,9 @@ Everything here but the conv encoder follows the defining formulas term
 by term, with plain Python loops (or one mask per class, one draw per
 reservoir offer) and none of the vectorized or stabilized structure of
 the library code. Deliberately slow; use tiny
-inputs. The conv encoder builds every convolution and pool from flat
-index `gather`s and `row_max`, so its backward is an `np.add.at` scatter.
+inputs. The conv encoder, both in its pooled order and in its defining
+order, builds every convolution and pool from flat index `gather`s and
+`row_max`, so its backward is an `np.add.at` scatter.
 `expected_steps` is the step-count contract every method is held to,
 `loss_value` evaluates a library loss, which takes tape variables, on a
 plain array, and `CountingOracle` tallies the labels it hands out.
@@ -146,15 +147,24 @@ class CountingOracle(Oracle):
         return super().label(source_ids)
 
 
-def conv_patch_indices(n, h, w, c, k):
-    """Flat NHWC indices shaped (n*oh*ow, k*k*c) for valid k x k windows."""
-    oh, ow = h - k + 1, w - k + 1
-    bn = np.arange(n).reshape(n, 1, 1, 1, 1, 1)
-    ii = (np.arange(oh).reshape(oh, 1) + np.arange(k)).reshape(1, oh, 1, k, 1, 1)
-    jj = (np.arange(ow).reshape(ow, 1) + np.arange(k)).reshape(1, 1, ow, 1, k, 1)
-    cc = np.arange(c).reshape(1, 1, 1, 1, 1, c)
-    idx = ((bn * h + ii) * w + jj) * c + cc
-    return np.broadcast_to(idx, (n, oh, ow, k, k, c)).reshape(n * oh * ow, k * k * c)
+def _along(size, axis, ndim):
+    """arange(size) shaped to broadcast along `axis` of `ndim` axes."""
+    shape = [1] * ndim
+    shape[axis] = size
+    return np.arange(size).reshape(shape)
+
+
+def conv_patch_indices(n, h, w, c, k, p):
+    """Flat NHWC indices shaped (p*p*n*ph*pw, k*k*c) for valid k x k
+    windows, rows grouped by p x p pool offset: row block i*p + j holds,
+    in (b, py, px) order, the window at conv output (py*p + i, px*p + j).
+    Outputs that no pool window covers get no row; p = 1 lists every
+    output in (b, y, x) order."""
+    ph, pw = (h - k + 1) // p, (w - k + 1) // p
+    pi, pj, bn, py, px, ki, kj, cc = (
+        _along(size, axis, 8) for axis, size in enumerate((p, p, n, ph, pw, k, k, c)))
+    idx = ((bn * h + py * p + pi + ki) * w + px * p + pj + kj) * c + cc
+    return idx.reshape(p * p * n * ph * pw, k * k * c)
 
 
 def pool_window_indices(n, h, w, c, p):
@@ -168,11 +178,27 @@ def pool_window_indices(n, h, w, c, p):
     return np.broadcast_to(idx, (n, ph, pw, c, p, p)).reshape(n * ph * pw * c, p * p)
 
 
+def block_window_indices(q, m, d):
+    """Flat indices shaped (m*d, q) of a (q*m, d) matrix: row r*d + j
+    lists entry (r, j) of each of the q row blocks of m rows, in block
+    order."""
+    r, j, o = _along(m, 0, 3), _along(d, 1, 3), _along(q, 2, 3)
+    return ((o * m + r) * d + j).reshape(m * d, q)
+
+
+def _dense(bound, act):
+    n, h, w, c = act.shape
+    flat = ad.reshape(act, (n, h * w * c))
+    return ad.add(ad.matmul(flat, bound["enc/dense_w"]), bound["enc/dense_b"])
+
+
 def conv_encoder_gather(spec, bound, x):
     """The conv encoder's forward on a tape, from gathers and row_max.
 
-    `x` is the prepared NHWC batch as a tape node; `bound` maps the
-    encoder's parameter names to tape nodes.
+    Each block pools the raw conv rows, grouped by pool offset, and
+    adds the bias and takes the ReLU after the pool, as the encoder
+    does. `x` is the prepared NHWC batch as a tape node; `bound` maps
+    the encoder's parameter names to tape nodes.
     """
     c, h, w = spec.in_shape
     k, p = models.KERNEL, models.POOL
@@ -180,23 +206,42 @@ def conv_encoder_gather(spec, bound, x):
     act = x
     in_c = c
     for block, out_c in enumerate(spec.channels, start=1):
-        patches = ad.reshape(
-            ad.gather(act, conv_patch_indices(n, h, w, in_c, k)),
-            (n * (h - k + 1) * (w - k + 1), k * k * in_c),
+        patches = ad.gather(act, conv_patch_indices(n, h, w, in_c, k, p))
+        conv = ad.matmul(patches, bound[f"enc/c{block}_w"])
+        h, w = (h - k + 1) // p, (w - k + 1) // p
+        rows = n * h * w
+        pooled = ad.reshape(
+            ad.row_max(ad.gather(conv, block_window_indices(p * p, rows, out_c))),
+            (rows, out_c),
         )
+        act = ad.reshape(ad.relu(ad.add(pooled, bound[f"enc/c{block}_b"])),
+                         (n, h, w, out_c))
+        in_c = out_c
+    return _dense(bound, act)
+
+
+def conv_encoder_relu_first(spec, bound, x):
+    """The conv encoder's forward in its defining order, from gathers and
+    row_max: each block takes the ReLU of conv plus bias at every output
+    pixel, rows in (b, y, x) order, then max-pools it. Arguments as for
+    `conv_encoder_gather`.
+    """
+    c, h, w = spec.in_shape
+    k, p = models.KERNEL, models.POOL
+    n = x.shape[0]
+    act = x
+    in_c = c
+    for block, out_c in enumerate(spec.channels, start=1):
+        patches = ad.gather(act, conv_patch_indices(n, h, w, in_c, k, 1))
         conv = ad.relu(ad.add(ad.matmul(patches, bound[f"enc/c{block}_w"]),
                               bound[f"enc/c{block}_b"]))
         h, w = h - k + 1, w - k + 1
         conv = ad.reshape(conv, (n, h, w, out_c))
-        windows = ad.reshape(
-            ad.gather(conv, pool_window_indices(n, h, w, out_c, p)),
-            (n * (h // p) * (w // p) * out_c, p * p),
-        )
+        windows = ad.gather(conv, pool_window_indices(n, h, w, out_c, p))
         h, w = h // p, w // p
         act = ad.reshape(ad.row_max(windows), (n, h, w, out_c))
         in_c = out_c
-    flat = ad.reshape(act, (n, h * w * in_c))
-    return ad.add(ad.matmul(flat, bound["enc/dense_w"]), bound["enc/dense_b"])
+    return _dense(bound, act)
 
 
 def loss_value(loss, x, *args):

@@ -81,11 +81,15 @@ def test_shape_mismatch_names_primitive():
     with pytest.raises(ShapeError, match="reshape"):
         ad.reshape(tape.const(np.ones(3)), (2, 2))
     with pytest.raises(ShapeError, match="im2col"):
-        ad.im2col(tape.const(np.ones((2, 3))), 3)
+        ad.im2col(tape.const(np.ones((2, 3))), 3, 1)
     with pytest.raises(ShapeError, match="im2col"):
-        ad.im2col(tape.const(np.ones((1, 2, 5, 1))), 3)
-    with pytest.raises(ShapeError, match="maxpool2d"):
-        ad.maxpool2d(tape.const(np.ones((1, 1, 4, 1))), 2)
+        ad.im2col(tape.const(np.ones((1, 2, 5, 1))), 3, 1)
+    with pytest.raises(ShapeError, match="im2col"):  # a 1x3 conv map, no 2x2 pool
+        ad.im2col(tape.const(np.ones((1, 3, 5, 1))), 3, 2)
+    with pytest.raises(ShapeError, match="block_max"):
+        ad.block_max(tape.const(np.ones((6, 2))), 4)
+    with pytest.raises(ShapeError, match="block_max"):
+        ad.block_max(tape.const(np.ones((1, 1, 4, 1))), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +267,15 @@ def test_heap_setting_is_a_no_op_without_mallopt(monkeypatch):
     assert ad._keep_heap_warm() is None
 
 
+def maxpool2d(a, p):
+    """p x p max-pooling of an NHWC tensor as the conv encoder runs it:
+    pixel rows grouped by pool offset (`im2col` with a 1x1 window), then
+    `block_max` over the p*p groups."""
+    n, h, w, c = a.shape
+    pooled = ad.block_max(ad.im2col(a, 1, p), p * p)
+    return ad.reshape(pooled, (n, h // p, w // p, c))
+
+
 # (input rows, pooled row, (row, col) that takes each window's gradient)
 MAXPOOL_CASES = {
     # the last row and column fill no window
@@ -282,7 +295,7 @@ def test_maxpool2d_routes_ties_to_first_maximum(case):
     x = np.array(rows)[None, :, :, None]
     tape = ad.Tape()
     xv = tape.param(x)
-    out = ad.maxpool2d(xv, 2)
+    out = maxpool2d(xv, 2)
     assert np.array_equal(out.data.ravel(), pooled)
     # a -0.0/0.0 tie keeps the first value, sign bit included
     assert np.array_equal(np.signbit(out.data.ravel()), np.signbit(pooled))
@@ -301,7 +314,7 @@ def test_maxpool2d_passes_nan_through(slot):
     x = np.array([[1.0, 2.0, 5.0, 6.0],
                   [3.0, 4.0, 7.0, 8.0]])[None, :, :, None]
     x[(0, *slot, 0)] = np.nan
-    out = ad.maxpool2d(ad.Tape().const(x), 2)
+    out = maxpool2d(ad.Tape().const(x), 2)
     assert np.isnan(out.data[0, 0, 0, 0])
     assert out.data[0, 0, 1, 0] == 8.0
 
@@ -321,7 +334,7 @@ def test_maxpool2d_matches_gather_row_max_bitwise(p, h, w):
         grads = ad.backward(ad.total_sum(ad.mul(out, tape.const(g))))
         return out.data, grads[xv.idx]
 
-    out, grad = pool_and_grad(lambda a: ad.maxpool2d(a, p))
+    out, grad = pool_and_grad(lambda a: maxpool2d(a, p))
     ref_out, ref_grad = pool_and_grad(lambda a: ad.reshape(
         ad.row_max(ad.gather(a, reference.pool_window_indices(n, h, w, c, p))),
         g.shape))
@@ -415,16 +428,23 @@ def _case_im2col(rng):
     k = int(rng.integers(1, 4))
     n, c = rng.integers(1, 3, size=2)
     h, w = rng.integers(k, k + 3, size=2)
-    return [rng.normal(size=(n, h, w, c))], lambda a: ad.im2col(a, k)
+    return [rng.normal(size=(n, h, w, c))], lambda a: ad.im2col(a, k, 1)
 
 
-def _case_maxpool2d(rng):
-    p = int(rng.integers(1, 4))
+def _case_im2col_pooled(rng):
+    k = int(rng.integers(1, 4))
     n, c = rng.integers(1, 3, size=2)
-    h, w = rng.integers(p, 2 * p + 2, size=2)
+    # odd conv maps: the last row and column of outputs get no row
+    oh, ow = 2 * rng.integers(1, 3, size=2) + 1
+    x = rng.normal(size=(n, oh + k - 1, ow + k - 1, c))
+    return [x], lambda a: ad.im2col(a, k, 2)
+
+
+def _case_block_max(rng):
+    q, rows, cols = rng.integers(1, 5, size=3)
     # distinct values spaced far wider than the difference step
-    x = 0.01 * rng.permutation(n * h * w * c).reshape(n, h, w, c)
-    return [x], lambda a: ad.maxpool2d(a, p)
+    x = 0.01 * rng.permutation(q * rows * cols).reshape(q * rows, cols)
+    return [x], lambda a: ad.block_max(a, q)
 
 
 def _case_reshape(rng):
@@ -453,7 +473,8 @@ PRIMITIVE_CASES = {
     "gram": _case_gram,
     "gather": _case_gather,
     "im2col": _case_im2col,
-    "maxpool2d": _case_maxpool2d,
+    "im2col_pooled": _case_im2col_pooled,
+    "block_max": _case_block_max,
     "reshape": _case_reshape,
     "mean": _case_mean,
     "total_sum": _case_total_sum,

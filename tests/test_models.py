@@ -115,16 +115,41 @@ def _encoder_and_head_grads(enc, proj, prepared, forward):
     return h.data, ad.grads_for(ad.backward(root), list(bound.values()))
 
 
-@pytest.mark.parametrize("spec, n", [
+CONV_REFERENCE_CASES = pytest.mark.parametrize("spec, n", [
     (models.ConvSpec(), 40),
     # 11x11 and 3x3 conv maps: both pools drop their last row and column
     (dataclasses.replace(TINY_CONV, in_shape=(2, 13, 13)), 6),
 ])
-def test_conv_encoder_matches_gather_reference_bitwise(spec, n, monkeypatch):
+
+
+def _conv_case(spec, n):
+    """Encoder and head with nonzero conv biases, and a prepared batch."""
     enc, proj = models.init_params(21, spec, head_hidden=8, proj_dim=4)
-    prepared = enc.prepare(np.random.default_rng(21).uniform(size=(n, *spec.in_shape)))
+    rng = np.random.default_rng(21)
+    for block in range(1, len(spec.channels) + 1):
+        bias = enc.params[f"enc/c{block}_b"]
+        bias[:] = rng.uniform(-0.1, 0.1, size=bias.shape)
+    return enc, proj, enc.prepare(rng.uniform(size=(n, *spec.in_shape)))
+
+
+@CONV_REFERENCE_CASES
+def test_conv_encoder_matches_gather_reference_bitwise(spec, n):
+    enc, proj, prepared = _conv_case(spec, n)
     h, grads = _encoder_and_head_grads(enc, proj, prepared, enc.apply)
-    pooled = []  # the reference's pool windows, one row per window
+    h_ref, grads_ref = _encoder_and_head_grads(
+        enc, proj, prepared,
+        lambda bound, x: reference.conv_encoder_gather(spec, bound, x))
+    assert np.array_equal(h, h_ref)
+    assert np.array_equal(models.encode(enc, prepared.transpose(0, 3, 1, 2)), h_ref)
+    for g, g_ref in zip(grads, grads_ref):
+        assert np.array_equal(g, g_ref)
+
+
+@CONV_REFERENCE_CASES
+def test_pooling_before_bias_and_relu_changes_no_latent(spec, n, monkeypatch):
+    enc, proj, prepared = _conv_case(spec, n)
+    h, grads = _encoder_and_head_grads(enc, proj, prepared, enc.apply)
+    pooled = []  # the defining order's pool windows, one row per window
     row_max = ad.row_max
 
     def spy(a):
@@ -134,11 +159,11 @@ def test_conv_encoder_matches_gather_reference_bitwise(spec, n, monkeypatch):
     monkeypatch.setattr(ad, "row_max", spy)
     h_ref, grads_ref = _encoder_and_head_grads(
         enc, proj, prepared,
-        lambda bound, x: reference.conv_encoder_gather(spec, bound, x))
+        lambda bound, x: reference.conv_encoder_relu_first(spec, bound, x))
     assert np.array_equal(h, h_ref)
-    assert np.array_equal(models.encode(enc, prepared.transpose(0, 3, 1, 2)), h_ref)
+    # only the order of the summed patch rows differs
     for g, g_ref in zip(grads, grads_ref):
-        assert np.array_equal(g, g_ref)
+        assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
     if spec == models.ConvSpec():  # ReLU zeros tie inside pool windows
         assert np.any((pooled[0] == 0.0).all(axis=1))
 
